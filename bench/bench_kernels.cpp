@@ -3,7 +3,10 @@
 //   - Fq Montgomery multiply vs. the dedicated squaring kernel (ns/op,
 //     dependent chains so the loop cannot be pipelined away),
 //   - G1 single-scalar multiplication: variable-time double-and-add ladder
-//     vs. GLV two-dimensional joint ladder,
+//     vs. GLV split on the joint wNAF kernel,
+//   - secp256k1 ECDSA: sign (blinded fixed-base walk) and verify (one joint
+//     GLV-wNAF pass) against the textbook double-and-add verify kept in
+//     tests/ecdsa_oracle.h (us/op),
 //   - G1 multiexp at n = 2^10..2^16: textbook Pippenger oracle vs. the
 //     batch-affine signed-digit kernel (us/point),
 //   - radix-2 FFT at n = 2^10..2^16: textbook oracle vs. the cache-blocked
@@ -23,9 +26,11 @@
 
 #include "common/kernel_engine.h"
 #include "common/thread_pool.h"
+#include "crypto/ecdsa.h"
 #include "ec/bn254_groups.h"
 #include "ec/glv.h"
 #include "ec/multiexp.h"
+#include "ecdsa_oracle.h"
 #include "snark/domain.h"
 
 using namespace zl;
@@ -99,6 +104,46 @@ int main() {
   }
   std::printf("G1 ladder    %7.1f us/mul\n", ladder_us);
   std::printf("G1 glv_mul   %7.1f us/mul   (%.2fx speedup)\n", glv_us, ladder_us / glv_us);
+
+  // --- secp256k1 ECDSA: production sign/verify vs. the oracle verify ----
+  constexpr int kEcdsaKeys = 16, kEcdsaPerKey = 16;
+  std::vector<EcdsaKeyPair> ecdsa_keys;
+  std::vector<Bytes> ecdsa_pubs, ecdsa_msgs;
+  std::vector<EcdsaSignature> ecdsa_sigs;
+  for (int i = 0; i < kEcdsaKeys; ++i) {
+    ecdsa_keys.push_back(EcdsaKeyPair::generate(rng));
+    for (int j = 0; j < kEcdsaPerKey; ++j) {
+      ecdsa_pubs.push_back(ecdsa_keys.back().public_key_bytes());
+      ecdsa_msgs.push_back(rng.bytes(128));
+    }
+  }
+  const double ecdsa_ops = static_cast<double>(ecdsa_msgs.size());
+  const double ecdsa_sign_us = median_seconds(3, [&] {
+    ecdsa_sigs.clear();
+    for (std::size_t i = 0; i < ecdsa_msgs.size(); ++i) {
+      ecdsa_sigs.push_back(ecdsa_keys[i / kEcdsaPerKey].sign(ecdsa_msgs[i], rng));
+    }
+  }) * 1e6 / ecdsa_ops;
+  std::size_t verified = 0, oracle_verified = 0;
+  const double ecdsa_verify_us = median_seconds(3, [&] {
+    verified = 0;
+    for (std::size_t i = 0; i < ecdsa_msgs.size(); ++i) {
+      verified += ecdsa_verify(ecdsa_pubs[i], ecdsa_msgs[i], ecdsa_sigs[i]) ? 1 : 0;
+    }
+  }) * 1e6 / ecdsa_ops;
+  const double ecdsa_oracle_verify_us = median_seconds(3, [&] {
+    oracle_verified = 0;
+    for (std::size_t i = 0; i < ecdsa_msgs.size(); ++i) {
+      oracle_verified += oracle::ecdsa_verify(ecdsa_pubs[i], ecdsa_msgs[i], ecdsa_sigs[i]) ? 1 : 0;
+    }
+  }) * 1e6 / ecdsa_ops;
+  if (verified != ecdsa_msgs.size() || oracle_verified != ecdsa_msgs.size()) {
+    std::fprintf(stderr, "FATAL: ECDSA verify rejected a fresh signature\n");
+    return 1;
+  }
+  std::printf("ECDSA sign   %7.1f us/op\n", ecdsa_sign_us);
+  std::printf("ECDSA verify %7.1f us/op   (oracle %.1f us, %.2fx speedup)\n", ecdsa_verify_us,
+              ecdsa_oracle_verify_us, ecdsa_oracle_verify_us / ecdsa_verify_us);
 
   // --- G1 multiexp: textbook Pippenger vs. batch-affine kernel ----------
   struct MultiexpRow {
@@ -257,6 +302,11 @@ int main() {
                "  \"g1_scalar_mul\": {\"ladder_us\": %.2f, \"glv_us\": %.2f, "
                "\"glv_speedup\": %.3f},\n",
                ladder_us, glv_us, ladder_us / glv_us);
+  std::fprintf(json,
+               "  \"ecdsa_verify_us\": %.2f,\n  \"ecdsa_sign_us\": %.2f,\n"
+               "  \"ecdsa_oracle_verify_us\": %.2f,\n  \"ecdsa_verify_speedup\": %.3f,\n",
+               ecdsa_verify_us, ecdsa_sign_us, ecdsa_oracle_verify_us,
+               ecdsa_oracle_verify_us / ecdsa_verify_us);
   std::fprintf(json, "  \"g1_multiexp_us_per_point\": [\n");
   for (std::size_t i = 0; i < multiexp_rows.size(); ++i) {
     const MultiexpRow& r = multiexp_rows[i];

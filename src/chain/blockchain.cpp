@@ -175,24 +175,24 @@ bool Blockchain::add_block(const Block& block) {
 void Blockchain::choose_best_tip() {
   for (;;) {
     // Highest total difficulty among valid blocks; ties broken by hash for
-    // network-wide determinism.
+    // network-wide determinism. The map key is the block's hex hash, so the
+    // scan needs no hashing.
+    const Key* best_key = nullptr;
     const Entry* best = nullptr;
-    Bytes best_hash;
     for (const auto& [k, entry] : blocks_) {
       if (entry.invalid) continue;
-      const Bytes h = entry.block.hash();
       if (best == nullptr || entry.total_difficulty > best->total_difficulty ||
-          (entry.total_difficulty == best->total_difficulty && to_hex(h) < to_hex(best_hash))) {
+          (entry.total_difficulty == best->total_difficulty && k < *best_key)) {
+        best_key = &k;
         best = &entry;
-        best_hash = h;
       }
     }
-    if (best_hash == head_hash_) return;
+    if (*best_key == key(head_hash_)) return;
+    const Bytes best_hash = from_hex(*best_key);
     // Fast path: the new tip extends the current head — apply just the new
     // block instead of replaying the whole chain.
-    const Entry& best_entry = blocks_.at(key(best_hash));
-    if (best_entry.block.header.parent_hash == head_hash_) {
-      const Block& block = best_entry.block;
+    if (best->block.header.parent_hash == head_hash_) {
+      const Block& block = best->block;
       // Fan the expensive pure checks (signatures, snark proofs) out on the
       // thread pool; the sequential applies below then hit warm memo caches.
       prevalidate_block(state_, block.transactions);
@@ -201,8 +201,9 @@ void Blockchain::choose_best_tip() {
       for (const Transaction& tx : block.transactions) {
         try {
           Receipt r = state_.apply_transaction(tx, block.header.number, block.header.miner);
-          receipts_[key(tx.hash())] = {std::move(r), block.header.number};
-          confirmed.push_back(HeadEvent{key(tx.hash()), true});
+          Key tx_key = key(tx.hash());
+          receipts_[tx_key] = {std::move(r), block.header.number};
+          confirmed.push_back(HeadEvent{std::move(tx_key), true});
         } catch (const std::invalid_argument&) {
           ok = false;
           break;
@@ -216,7 +217,7 @@ void Blockchain::choose_best_tip() {
       }
       // Partial application dirtied the state: blacklist and rebuild the
       // previous canonical branch from scratch.
-      blocks_.at(key(best_hash)).invalid = true;
+      blocks_.at(*best_key).invalid = true;
       adopt_branch(head_hash_);
       continue;
     }

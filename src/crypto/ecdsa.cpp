@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "ec/glv.h"
+
 namespace zl {
 
 namespace {
@@ -47,7 +49,7 @@ EcdsaKeyPair EcdsaKeyPair::generate(Rng& rng) {
     key.secret_ = random_below(rng, curve_order());
   } while (key.secret_ == 0);
   ct::poison(key.secret_);
-  key.pub_ = SecpPoint::generator().mul_blinded(key.secret_, rng);
+  key.pub_ = generator_mul_blinded<SecpPoint>(key.secret_, rng);
   return key;
 }
 
@@ -70,16 +72,16 @@ Bytes ecdsa_address(const Bytes& public_key_bytes) {
 }
 
 EcdsaSignature EcdsaKeyPair::sign(const Bytes& message, Rng& rng) const {
-  const BigInt n = curve_order();
+  const BigInt& n = curve_order();
   const BigInt z = hash_to_scalar(message);
   ct::poison(secret_);  // harness hook; no-op outside a CT-checking scope
   for (;;) {
     const BigInt k = random_below(rng, n);
     if (k == 0) continue;  // public-by-rejection
     const ct::ScopedPoison poison_k(k);  // the nonce is as secret as the key
-    // k enters the ladder blinded (k + t*n) and the inversion blinded
-    // (b * (kb)^-1): neither variable-time algorithm ever sees k itself.
-    const SecpPoint kg = SecpPoint::generator().mul_blinded(k, rng);
+    // k enters the fixed-base walk blinded (k + t*n) and the inversion
+    // blinded (b * (kb)^-1): neither variable-time algorithm ever sees k.
+    const SecpPoint kg = generator_mul_blinded<SecpPoint>(k, rng);
     const BigInt r = kg.to_affine().first.to_bigint() % n;
     if (r == 0) continue;
     BigInt s = (mod_inverse_blinded(k, n, rng) * ((z + r * secret_) % n)) % n;
@@ -91,9 +93,23 @@ EcdsaSignature EcdsaKeyPair::sign(const Bytes& message, Rng& rng) const {
   }
 }
 
+namespace detail {
+
+bool ecdsa_x_matches(const SecpPoint& point, const BigInt& r) {
+  // The affine x = X/Z^2 lies in [0, p) and p < 2n, so x mod n == r iff
+  // x == r or x == r + n; compare X against both scaled by Z^2 instead of
+  // inverting Z.
+  static const BigInt p_minus_n = SecpFp::modulus_bigint() - curve_order();
+  const SecpFp z2 = point.jacobian_z().squared();
+  if (point.jacobian_x() == SecpFp::from_bigint(r) * z2) return true;
+  return r < p_minus_n && point.jacobian_x() == SecpFp::from_bigint(r + curve_order()) * z2;
+}
+
+}  // namespace detail
+
 bool ecdsa_verify(const Bytes& public_key_bytes, const Bytes& message,
                   const EcdsaSignature& sig) {
-  const BigInt n = curve_order();
+  const BigInt& n = curve_order();
   if (sig.r <= 0 || sig.r >= n || sig.s <= 0 || sig.s >= n) return false;
   SecpPoint pub;
   try {
@@ -103,11 +119,9 @@ bool ecdsa_verify(const Bytes& public_key_bytes, const Bytes& message,
   }
   const BigInt z = hash_to_scalar(message);
   const BigInt w = mod_inverse(sig.s, n);
-  const BigInt u1 = (z * w) % n;
-  const BigInt u2 = (sig.r * w) % n;
-  const SecpPoint point = SecpPoint::generator() * u1 + pub * u2;
-  if (point.is_infinity()) return false;
-  return point.to_affine().first.to_bigint() % n == sig.r;
+  // u1*G + u2*Q as four half-scalars in one joint pass (ec/glv.h).
+  const SecpPoint point = generator_double_mul<SecpPoint>((z * w) % n, pub, (sig.r * w) % n);
+  return !point.is_infinity() && detail::ecdsa_x_matches(point, sig.r);
 }
 
 }  // namespace zl

@@ -45,9 +45,17 @@ class EcdsaKeyPair {
   SecpPoint pub_;
 };
 
-/// Verify a signature over `message` against an uncompressed public key.
+/// Verify a signature over `message` against an uncompressed public key:
+/// u1*G + u2*Q in one joint GLV-wNAF pass, the x-coordinate check done
+/// projectively (no inversion).
 bool ecdsa_verify(const Bytes& public_key_bytes, const Bytes& message,
                   const EcdsaSignature& sig);
+
+namespace detail {
+/// Whether the affine x of a finite Jacobian point reduces to r mod n
+/// (0 < r < n): X == r*Z^2, or X == (r+n)*Z^2 when r + n < p.
+bool ecdsa_x_matches(const SecpPoint& point, const BigInt& r);
+}  // namespace detail
 
 /// Address derivation from a serialized public key.
 Bytes ecdsa_address(const Bytes& public_key_bytes);

@@ -237,11 +237,12 @@ class WeierstrassPoint {
 
   /// Scalar multiplication (double-and-add, MSB first). Variable-time in the
   /// scalar — the add/no-add pattern is the scalar's bit string — so the CT
-  /// harness rejects tainted scalars; use mul_blinded for secrets.
+  /// harness rejects tainted scalars; secret multiples of the generator go
+  /// through generator_mul_blinded (ec/glv.h).
   WeierstrassPoint operator*(const BigInt& scalar) const {
     ct::branch(scalar,
                "WeierstrassPoint::operator*: double-and-add is variable-time in the "
-               "scalar — use mul_blinded for secret scalars");
+               "scalar — use generator_mul_blinded for secret scalars");
     if (scalar < 0) return (-*this) * (-scalar);
     WeierstrassPoint acc = infinity();
     if (scalar == 0 || is_infinity()) return acc;
@@ -251,16 +252,6 @@ class WeierstrassPoint {
       if (mpz_tstbit(scalar.get_mpz_t(), i)) acc += *this;
     }
     return acc;
-  }
-
-  /// Scalar multiplication for *secret* scalars: the ladder runs on
-  /// scalar + t * order for a fresh 64-bit t, so the executed add/no-add
-  /// pattern is decorrelated from the secret on every call while the result
-  /// is unchanged (order * P = O on the prime subgroup).
-  WeierstrassPoint mul_blinded(const BigInt& scalar, Rng& rng) const {
-    BigInt masked = scalar + Params::order() * BigInt(rng.next_u64());
-    ct::declassify(masked);  // blinded: safe for the variable-time ladder
-    return *this * masked;
   }
 
   const Field& jacobian_x() const { return x_; }

@@ -3,6 +3,8 @@
 // (including the transaction-reordering adversary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "chain/network.h"
 
 namespace zl::chain {
@@ -282,10 +284,11 @@ TEST(Blockchain, ForkChoiceAdoptsLongerBranch) {
   ASSERT_TRUE(chain.add_block(a1));
   EXPECT_EQ(chain.head_hash(), a1.hash());
 
-  // A competing sibling does not displace the head (equal difficulty, tie
-  // broken deterministically) ...
+  // A competing sibling has equal total difficulty: the tie goes to the
+  // smaller hex hash, the same choice on every node ...
   const Block b1 = mine_on(a1.header.parent_hash, 1, 200);
   ASSERT_TRUE(chain.add_block(b1));
+  EXPECT_EQ(to_hex(chain.head_hash()), std::min(to_hex(a1.hash()), to_hex(b1.hash())));
   // ... but a child of the sibling does (heavier branch).
   const Block b2 = mine_on(b1.hash(), 2, 300);
   ASSERT_TRUE(chain.add_block(b2));

@@ -198,6 +198,33 @@ TEST(CtDeathTest, GlvMulOnSecretScalarAborts) {
       "variable-time");
 }
 
+TEST(CtDeathTest, JointKernelOnSecretScalarAborts) {
+  // The fixed generator table is for public or blinded scalars only: an
+  // unblinded secret handed straight to the signed-digit walk must trip the
+  // guard before any digit is computed.
+  EXPECT_DEATH(
+      {
+        ct::enable();
+        const BigInt k = bigint_from_decimal("123456789123456789123456789");
+        ct::poison(k);
+        (void)wnaf_mul<SecpPoint>({{detail::generator_tables<SecpPoint>().data(),
+                                    detail::kWnafGeneratorWindow, k}});
+      },
+      "variable-time in the scalar");
+}
+
+TEST(CtDeathTest, GeneratorDoubleMulOnSecretScalarAborts) {
+  // The verifier's entry point takes public scalars only.
+  EXPECT_DEATH(
+      {
+        ct::enable();
+        const BigInt k = bigint_from_decimal("555555555555555555555");
+        ct::poison(k);
+        (void)generator_double_mul<SecpPoint>(k, SecpPoint::generator(), BigInt(3));
+      },
+      "variable-time");
+}
+
 // ---------------------------------------------------------------------------
 // Production paths run clean under an active harness
 // ---------------------------------------------------------------------------

@@ -129,12 +129,12 @@ TEST(Multiexp, HandlesZeroAndLargeScalars) {
 
 template <typename Point>
 void check_glv_endomorphism() {
-  const Point g = Point::generator();
+  // A width-2 table pair is {P, phi(P)} in affine form.
   const BigInt& lam = detail::glv_curve<Point>().lambda;
-  EXPECT_EQ(glv_endomorphism(g), g * lam);
-  const Point p = g * 123456789;
-  EXPECT_EQ(glv_endomorphism(p), p * lam);
-  EXPECT_TRUE(glv_endomorphism(Point::infinity()).is_infinity());
+  for (const Point& p : {Point::generator(), Point::generator() * 123456789}) {
+    EXPECT_EQ(Point::from_affine_point(detail::glv_tables(p, 2)[1]), p * lam);
+  }
+  EXPECT_TRUE(detail::glv_tables(Point::infinity(), 2)[1].infinity);
 }
 
 TEST(Glv, EndomorphismMatchesLambdaOnG1) { check_glv_endomorphism<G1>(); }
@@ -174,18 +174,45 @@ TEST(Glv, DecompositionRecombinesAndIsShort) {
   }
 }
 
+TEST(Glv, EndomorphismMatchesLambdaOnSecp256k1) { check_glv_endomorphism<SecpPoint>(); }
+
+TEST(Glv, Secp256k1DecompositionRecombinesAndIsShort) {
+  // The same derivation as BN254's, from SecpFp and the secp256k1 order.
+  const BigInt& n = SecpPoint::order();
+  const BigInt& lam = detail::glv_curve<SecpPoint>().lambda;
+  BigInt rel = (lam * lam + lam + 1) % n;
+  EXPECT_EQ(rel, 0);
+  const SecpFp& beta = detail::glv_curve<SecpPoint>().endo_scale;
+  EXPECT_EQ(beta * beta * beta, SecpFp::one());
+  EXPECT_NE(beta, SecpFp::one());
+
+  const BigInt bound = BigInt(1) << 129;
+  Rng rng(92);
+  std::vector<BigInt> ks = {BigInt(0), BigInt(1), BigInt(n - 1), lam, BigInt(n - lam), n,
+                            BigInt((BigInt(1) << 256) - 1)};
+  for (int i = 0; i < 200; ++i) ks.push_back(random_below(rng, n));
+  for (const BigInt& k : ks) {
+    const GlvDecomposition d = glv_decompose<SecpPoint>(k);
+    BigInt back = (d.k1 + d.k2 * lam - k) % n;
+    EXPECT_EQ(back, 0) << "k = " << k;
+    EXPECT_LT(abs(d.k1), bound) << "k = " << k;
+    EXPECT_LT(abs(d.k2), bound) << "k = " << k;
+  }
+}
+
 template <typename Point>
 void check_glv_mul(std::uint64_t seed) {
   Rng rng(seed);
   const Point g = Point::generator();
+  const BigInt& n = Point::order();
   std::vector<BigInt> ks = {BigInt(0),
                             BigInt(1),
                             BigInt(2),
-                            BigInt(Point::order() - 1),
-                            Point::order(),
-                            BigInt(Point::order() + 5),
-                            glv_lambda()};
-  for (int i = 0; i < 10; ++i) ks.push_back(Fr::random(rng).to_bigint());
+                            BigInt(n - 1),
+                            n,
+                            BigInt(n + 5),
+                            detail::glv_curve<Point>().lambda};
+  for (int i = 0; i < 10; ++i) ks.push_back(random_below(rng, n));
   for (const BigInt& k : ks) {
     const Point p = g * (1 + rng.uniform(1 << 20));
     EXPECT_EQ(glv_mul(p, k), p * k) << "k = " << k;
@@ -195,6 +222,117 @@ void check_glv_mul(std::uint64_t seed) {
 
 TEST(Glv, MulMatchesLadderOnG1) { check_glv_mul<G1>(61); }
 TEST(Glv, MulMatchesLadderOnG2) { check_glv_mul<G2>(62); }
+TEST(Glv, MulMatchesLadderOnSecp256k1) { check_glv_mul<SecpPoint>(65); }
+
+TEST(Wnaf, DigitsAreSparseOddAndRecombine) {
+  Rng rng(66);
+  std::vector<BigInt> ks = {BigInt(0), BigInt(1), BigInt(2), BigInt(255), BigInt(256),
+                            BigInt((BigInt(1) << 384) - 1), BigInt(-77)};
+  for (unsigned bits : {1u, 7u, 64u, 65u, 128u, 129u, 256u, 321u, 383u}) {
+    ks.push_back(random_below(rng, BigInt(1) << bits));
+  }
+  std::vector<std::int8_t> digits(detail::kWnafMaxDigits);
+  for (unsigned w = 2; w <= 8; ++w) {
+    for (const BigInt& k : ks) {
+      const unsigned len = detail::wnaf_digits(k, w, digits.data());
+      BigInt sum = 0;
+      for (unsigned i = detail::kWnafMaxDigits; i-- > 0;) {
+        sum = 2 * sum + digits[i];
+        const int d = digits[i];
+        if (d == 0) continue;
+        EXPECT_NE(d % 2, 0) << "even digit, w = " << w;
+        EXPECT_LT(std::abs(d), 1 << (w - 1));
+        for (unsigned j = i + 1; j < i + w && j < detail::kWnafMaxDigits; ++j) {
+          EXPECT_EQ(digits[j], 0) << "adjacent digits at " << i << ", w = " << w;
+        }
+        if (i + 1 > len) ADD_FAILURE() << "digit past the reported length";
+      }
+      EXPECT_EQ(sum, abs(k)) << "w = " << w;
+      EXPECT_EQ(len == 0, k == 0);
+      if (len > 0) {
+        EXPECT_NE(digits[len - 1], 0);
+      }
+    }
+  }
+  EXPECT_THROW(detail::wnaf_digits(BigInt(1) << 384, 5, digits.data()), std::invalid_argument);
+}
+
+template <typename Point>
+void check_joint_kernel(std::uint64_t seed) {
+  Rng rng(seed);
+  const Point g = Point::generator();
+  const BigInt& n = Point::order();
+  std::vector<Point> points = {g * (1 + rng.uniform(1 << 30)), g * random_below(rng, n),
+                               Point::infinity(), g * 3};
+  points.push_back(points[0]);  // a repeated base: the walk hits add == double
+  const auto random_scalar = [&] {
+    const unsigned bits = 1 + rng.uniform(321);
+    BigInt k = random_below(rng, BigInt(1) << bits);
+    return rng.uniform(3) == 0 ? BigInt(-k) : k;
+  };
+  for (int round = 0; round < 12; ++round) {
+    const unsigned count = 1 + static_cast<unsigned>(round % 4);
+    std::vector<std::vector<typename Point::Affine>> tables;
+    std::vector<BigInt> scalars;
+    std::vector<WnafTerm<Point>> terms;
+    scalars.reserve(count);  // terms hold references into it
+    Point expect = Point::infinity();
+    for (unsigned t = 0; t < count; ++t) {
+      const Point& p = points[rng.uniform(points.size())];
+      const unsigned w = 2 + static_cast<unsigned>(rng.uniform(7));
+      tables.push_back(detail::glv_tables(p, w));
+      scalars.push_back(round == 0 ? BigInt(0) : random_scalar());
+      terms.push_back({tables.back().data(), w, scalars.back()});
+      expect += p * scalars.back();
+    }
+    Point got;
+    switch (count) {
+      case 1: got = wnaf_mul<Point>({terms[0]}); break;
+      case 2: got = wnaf_mul<Point>({terms[0], terms[1]}); break;
+      case 3: got = wnaf_mul<Point>({terms[0], terms[1], terms[2]}); break;
+      default: got = wnaf_mul<Point>({terms[0], terms[1], terms[2], terms[3]}); break;
+    }
+    EXPECT_EQ(got, expect) << "round " << round;
+  }
+  // Opposite scalars on one base cancel to infinity; the second half of a
+  // GLV table is phi(P) = lambda*P.
+  const auto table = detail::glv_tables(points[1], 5);
+  const BigInt k = random_below(rng, n);
+  EXPECT_TRUE(wnaf_mul<Point>({{table.data(), 5, k}, {table.data(), 5, BigInt(-k)}}).is_infinity());
+  EXPECT_EQ(wnaf_mul<Point>({{table.data() + table.size() / 2, 5, k}}),
+            points[1] * BigInt((k * detail::glv_curve<Point>().lambda) % n));
+  EXPECT_THROW(wnaf_mul<Point>({{table.data(), 9, k}}), std::invalid_argument);
+}
+
+TEST(Wnaf, JointKernelMatchesLadderOnG1) { check_joint_kernel<G1>(67); }
+TEST(Wnaf, JointKernelMatchesLadderOnSecp256k1) { check_joint_kernel<SecpPoint>(68); }
+
+TEST(Wnaf, GeneratorPathsMatchLadder) {
+  const SecpPoint g = SecpPoint::generator();
+  const BigInt& n = SecpPoint::order();
+  Rng rng(69);
+  const SecpPoint q = g * random_below(rng, n);
+  for (int i = 0; i < 8; ++i) {
+    const BigInt a = random_below(rng, n), b = random_below(rng, n);
+    EXPECT_EQ(generator_double_mul<SecpPoint>(a, q, b), g * a + q * b);
+  }
+  EXPECT_EQ(generator_double_mul<SecpPoint>(BigInt(0), q, BigInt(5)), q * 5);
+  EXPECT_EQ(generator_double_mul<SecpPoint>(BigInt(7), q, BigInt(0)), g * 7);
+  EXPECT_EQ(generator_double_mul<SecpPoint>(BigInt(9), SecpPoint::infinity(), BigInt(3)), g * 9);
+  // a*G + b*(c*G) with a = -b*c (mod n) is the point at infinity.
+  const BigInt c = random_below(rng, n), b = random_below(rng, n);
+  const BigInt a = (n - (b * c) % n) % n;
+  EXPECT_TRUE(generator_double_mul<SecpPoint>(a, g * c, b).is_infinity());
+
+  // The blinded fixed-base walk: same point as the ladder on k, and exactly
+  // one rng.next_u64() consumed per call (seeded signatures depend on it).
+  for (const BigInt& k : {BigInt(1), BigInt(n - 1), random_below(rng, n)}) {
+    Rng walk(70), ref(70);
+    EXPECT_EQ(generator_mul_blinded<SecpPoint>(k, walk), g * k);
+    (void)ref.next_u64();
+    EXPECT_EQ(walk.next_u64(), ref.next_u64());
+  }
+}
 
 template <typename Point>
 void check_kernel_vs_textbook(std::uint64_t seed) {

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <vector>
 
 #include "fuzz_targets.h"
@@ -28,6 +29,10 @@ struct Family {
   const char* name;
   FuzzTarget target;
 };
+
+// Without this, gtest prints the param as its raw bytes — two pointers —
+// so the listed test names (and ctest's) change with every ASLR layout.
+void PrintTo(const Family& family, std::ostream* os) { *os << family.name; }
 
 const Family kFamilies[] = {
     {"tx", zl::fuzz::fuzz_tx},           {"block", zl::fuzz::fuzz_block},

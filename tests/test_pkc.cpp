@@ -1,9 +1,13 @@
 // Public-key crypto tests: RSA-OAEP / RSA signatures (paper §VI
-// instantiation) and secp256k1 ECDSA (blockchain transaction signatures).
+// instantiation) and secp256k1 ECDSA (blockchain transaction signatures),
+// the latter pinned against the textbook double-and-add oracle in
+// ecdsa_oracle.h.
 #include <gtest/gtest.h>
 
 #include "crypto/ecdsa.h"
 #include "crypto/rsa.h"
+#include "ec/glv.h"
+#include "ecdsa_oracle.h"
 
 namespace zl {
 namespace {
@@ -140,6 +144,165 @@ TEST(Ecdsa, AddressDerivation) {
   // Distinct keys get distinct addresses (one-task-only address freshness).
   const EcdsaKeyPair other = EcdsaKeyPair::generate(rng);
   EXPECT_NE(other.address(), addr);
+}
+
+Bytes point_bytes(const SecpPoint& p) { return oracle::EcdsaOracleKey{0, p}.public_key_bytes(); }
+
+/// The production verdict, which must equal the oracle's.
+bool verify_both(const Bytes& pub, const Bytes& msg, const EcdsaSignature& sig) {
+  const bool got = ecdsa_verify(pub, msg, sig);
+  EXPECT_EQ(got, oracle::ecdsa_verify(pub, msg, sig))
+      << "r = " << sig.r << ", s = " << sig.s << ", key = " << to_hex(pub);
+  return got;
+}
+
+TEST(Ecdsa, MatchesOracleOnSeededTriples) {
+  const BigInt& n = SecpPoint::order();
+  Rng rng(116);
+  constexpr int kKeys = 40, kSignaturesPerKey = 25;  // 1,000 (key, message, signature)
+  Bytes previous_pub;
+  for (int i = 0; i < kKeys; ++i) {
+    const EcdsaKeyPair key = EcdsaKeyPair::generate(rng);
+    const Bytes pub = key.public_key_bytes();
+    for (int j = 0; j < kSignaturesPerKey; ++j) {
+      const Bytes msg = rng.bytes(1 + rng.uniform(96));
+      const EcdsaSignature sig = key.sign(msg, rng);
+      ASSERT_TRUE(verify_both(pub, msg, sig));
+      // (r, n - s) is the malleated twin: valid too, as no low-s rule applies.
+      EXPECT_TRUE(verify_both(pub, msg, {sig.r, n - sig.s}));
+      EXPECT_FALSE(verify_both(pub, msg, {sig.r % (n - 1) + 1, sig.s}));
+      EXPECT_FALSE(verify_both(pub, msg, {sig.r, (sig.s + 1 + rng.uniform(1000)) % (n - 1) + 1}));
+      Bytes tampered = msg;
+      tampered[rng.uniform(tampered.size())] ^= static_cast<std::uint8_t>(1 + rng.uniform(255));
+      EXPECT_FALSE(verify_both(pub, tampered, sig));
+      if (!previous_pub.empty()) {
+        EXPECT_FALSE(verify_both(previous_pub, msg, sig));
+      }
+    }
+    previous_pub = pub;
+  }
+}
+
+TEST(Ecdsa, EdgeCasesAgreeWithOracle) {
+  const BigInt& n = SecpPoint::order();
+  const SecpPoint g = SecpPoint::generator();
+  Rng rng(117);
+  const Bytes msg = to_bytes("edge");
+  const BigInt z = oracle::ecdsa_hash_to_scalar(msg);
+
+  // u1*G + u2*Q = infinity: with Q = d*G and d = -z/r, z + r*d == 0 (mod n)
+  // for every s.
+  const BigInt r = 1 + random_below(rng, n - 1);
+  const BigInt d = ((n - z) * mod_inverse(r, n)) % n;
+  const Bytes cancel_key = point_bytes(g * d);
+  const BigInt s_random = 1 + random_below(rng, n - 1);
+  for (const BigInt& s : {BigInt(1), BigInt(2), BigInt(n - 1), s_random}) {
+    EXPECT_FALSE(verify_both(cancel_key, msg, {r, s}));
+    const BigInt w = mod_inverse(s, n);
+    EXPECT_TRUE(generator_double_mul<SecpPoint>((z * w) % n, g * d, (r * w) % n).is_infinity());
+  }
+
+  // r and s at the range edges: 0 and n are rejected outright, n - 1 only
+  // by the equation.
+  const EcdsaKeyPair key = EcdsaKeyPair::generate(rng);
+  const Bytes pub = key.public_key_bytes();
+  const EcdsaSignature good = key.sign(msg, rng);
+  for (const BigInt& edge : {BigInt(0), n, BigInt(n - 1)}) {
+    EXPECT_FALSE(verify_both(pub, msg, {edge, good.s}));
+    EXPECT_FALSE(verify_both(pub, msg, {good.r, edge}));
+  }
+
+  // Valid signatures with s = n - 1 and s = 1: pick the nonce k first, then
+  // the key d with k*s == z + r*d.
+  for (const BigInt& s : {BigInt(n - 1), BigInt(1)}) {
+    const BigInt k = 1 + random_below(rng, n - 1);
+    const BigInt rk = (g * k).to_affine().first.to_bigint() % n;
+    BigInt dk = ((k * s - z) * mod_inverse(rk, n)) % n;
+    if (dk < 0) dk += n;
+    EXPECT_TRUE(verify_both(point_bytes(g * dk), msg, {rk, s}));
+  }
+
+  // Public keys off the curve or mis-encoded.
+  Bytes off_curve = pub;
+  off_curve[64] ^= 1;  // y's low bit: y^2 no longer matches x^3 + 7
+  EXPECT_FALSE(verify_both(off_curve, msg, good));
+  Bytes big_x = pub;
+  std::fill(big_x.begin() + 1, big_x.begin() + 33, std::uint8_t{0xff});  // x >= p
+  EXPECT_FALSE(verify_both(big_x, msg, good));
+  Bytes compressed = pub;
+  compressed[0] = 0x02;
+  EXPECT_FALSE(verify_both(compressed, msg, good));
+  EXPECT_FALSE(verify_both(Bytes(pub.begin(), pub.end() - 1), msg, good));
+  EXPECT_TRUE(verify_both(pub, msg, good));
+}
+
+/// A finite point whose affine x lies in (n, p), so x mod n = x - n is a
+/// valid r.
+SecpPoint point_with_x_above_order() {
+  const BigInt& p = SecpFp::modulus_bigint();
+  for (BigInt x = SecpPoint::order() + 1;; ++x) {
+    const SecpFp fx = SecpFp::from_bigint(x);
+    const SecpFp rhs = fx.squared() * fx + SecpFp::from_u64(7);
+    const SecpFp y = rhs.pow((p + 1) / 4);  // p = 3 mod 4
+    if (y.squared() == rhs) return SecpPoint::from_affine(fx, y);
+  }
+}
+
+TEST(Ecdsa, ProjectiveXCheckCoversTheWrappedBranch) {
+  const BigInt& n = SecpPoint::order();
+  const SecpPoint wrapped = point_with_x_above_order();
+  const BigInt x = wrapped.to_affine().first.to_bigint();
+  ASSERT_GT(x, n);
+  // The helper on a non-trivial Z: (X, Y, Z) = (x Z^2, y Z^3, Z).
+  Rng rng(118);
+  const SecpFp zc = SecpFp::random(rng);
+  const SecpPoint scaled = SecpPoint::from_jacobian_unchecked(
+      wrapped.jacobian_x() * zc.squared(), wrapped.jacobian_y() * zc.squared() * zc, zc);
+  ASSERT_EQ(scaled, wrapped);
+  EXPECT_TRUE(detail::ecdsa_x_matches(scaled, x - n));
+  EXPECT_FALSE(detail::ecdsa_x_matches(scaled, x - n + 1));
+  const SecpPoint plain = SecpPoint::generator() * 12345;
+  const BigInt plain_x = plain.to_affine().first.to_bigint();
+  ASSERT_LT(plain_x, n);
+  EXPECT_TRUE(detail::ecdsa_x_matches(plain, plain_x));
+  EXPECT_FALSE(detail::ecdsa_x_matches(plain, (plain_x + 1) % n));
+
+  // End to end: for any (r, s) = (x - n, s) pick Q = u2^-1 (R - u1 G), so
+  // u1 G + u2 Q lands exactly on the wrapped point.
+  const Bytes msg = to_bytes("wrapped x");
+  const BigInt z = oracle::ecdsa_hash_to_scalar(msg);
+  const BigInt s = 1 + random_below(rng, n - 1);
+  const BigInt w = mod_inverse(s, n);
+  const BigInt r = x - n;
+  const BigInt u1 = (z * w) % n, u2 = (r * w) % n;
+  const SecpPoint q = (wrapped - SecpPoint::generator() * u1) * mod_inverse(u2, n);
+  EXPECT_TRUE(verify_both(point_bytes(q), msg, {r, s}));
+  EXPECT_TRUE(verify_both(point_bytes(q), msg, {r, n - s}));  // lands on -R: same x
+  EXPECT_FALSE(verify_both(point_bytes(q), msg, {r + 1, s}));
+}
+
+TEST(Ecdsa, SeededKeysAndSignaturesMatchOracleBytes) {
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    Rng prod(seed), ref(seed);
+    const EcdsaKeyPair key = EcdsaKeyPair::generate(prod);
+    const oracle::EcdsaOracleKey ref_key = oracle::ecdsa_generate(ref);
+    ASSERT_EQ(key.public_key_bytes(), ref_key.public_key_bytes()) << "seed " << seed;
+    for (int j = 0; j < 3; ++j) {
+      const Bytes msg = to_bytes("message " + std::to_string(j));
+      EXPECT_EQ(key.sign(msg, prod).to_bytes(), oracle::ecdsa_sign(ref_key, msg, ref).to_bytes())
+          << "seed " << seed << ", message " << j;
+    }
+  }
+  // Literal pin: this seed produced these bytes before the fixed-base walk
+  // replaced the double-and-add ladder.
+  Rng rng(424242);
+  const EcdsaKeyPair key = EcdsaKeyPair::generate(rng);
+  EXPECT_EQ(to_hex(key.public_key_bytes()),
+            "042f542c0b42c3cdbea648c0f654d0e68933724be448970c16bfa1c652ff81a99b"
+            "6a41af2dd22922cdcdf2d51a31b7ecd197a75de7121d39d1b03f64c13e537469");
+  EXPECT_EQ(to_hex(key.sign(to_bytes("pin"), rng).to_bytes()),
+            "0dafeb8106ede8d4b532089b002d6de91626598c2040204a1444d50f06a9ad47"
+            "f3157757fc7fc2ee064d25838d5ec24b303d7d49ccebcacb5b0a72ae7149968a");
 }
 
 }  // namespace
