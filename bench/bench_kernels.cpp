@@ -9,8 +9,11 @@
 //     tests/ecdsa_oracle.h (us/op),
 //   - G1 multiexp at n = 2^10..2^16: textbook Pippenger oracle vs. the
 //     batch-affine signed-digit kernel (us/point),
-//   - radix-2 FFT at n = 2^10..2^16: textbook oracle vs. the cache-blocked
-//     kernel (ms/transform).
+//   - radix-2 FFT at n = 2^10..2^16: flat-table textbook oracle vs. the
+//     cache-blocked kernel (ms/transform).
+//
+// The textbook oracles live with the tests (tests/kernel_oracles.h,
+// tests/ecdsa_oracle.h; the zl_oracles target).
 //
 // The oracle/kernel comparisons run single-threaded (the kernels are
 // single-core rewrites) so the printed ratios are pure kernel effects; a
@@ -24,13 +27,13 @@
 #include <thread>
 #include <vector>
 
-#include "common/kernel_engine.h"
 #include "common/thread_pool.h"
 #include "crypto/ecdsa.h"
 #include "ec/bn254_groups.h"
 #include "ec/glv.h"
 #include "ec/multiexp.h"
 #include "ecdsa_oracle.h"
+#include "kernel_oracles.h"
 #include "snark/domain.h"
 
 using namespace zl;
@@ -171,14 +174,9 @@ int main() {
       const std::vector<Fr> ks(scalars.begin(), scalars.begin() + n);
       const int reps = log_n <= 12 ? 5 : 3;
       G1 expect, got;
-      const double textbook_s = median_seconds(reps, [&] {
-        ScopedKernelEngine off(false);
-        expect = multiexp(pts, ks);
-      });
-      const double kernel_s = median_seconds(reps, [&] {
-        ScopedKernelEngine on(true);
-        got = multiexp(pts, ks);
-      });
+      const double textbook_s =
+          median_seconds(reps, [&] { expect = oracle::multiexp_textbook(pts, ks); });
+      const double kernel_s = median_seconds(reps, [&] { got = multiexp(pts, ks); });
       if (!(expect == got)) {
         std::fprintf(stderr, "FATAL: multiexp kernel disagrees with textbook at n=%zu\n", n);
         return 1;
@@ -206,14 +204,13 @@ int main() {
       input.reserve(n);
       for (std::size_t i = 0; i < n; ++i) input.push_back(Fr::random(rng));
       const int reps = log_n <= 13 ? 9 : 5;
+      const std::vector<Fr> twiddles = oracle::fft_twiddles(domain.omega(), n);
       std::vector<Fr> a = input, b = input;
       const double textbook_s = median_seconds(reps, [&] {
-        ScopedKernelEngine off(false);
         a = input;
-        domain.fft(a);
+        oracle::fft_textbook(a, twiddles);
       });
       const double kernel_s = median_seconds(reps, [&] {
-        ScopedKernelEngine on(true);
         b = input;
         domain.fft(b);
       });
@@ -256,13 +253,12 @@ int main() {
     for (unsigned w = 2; w < hardware_threads; w *= 2) widths.push_back(w);
     widths.push_back(hardware_threads);
 
-    std::printf("\nThread scaling at n=2^14 (seconds; kernel engine on)\n%8s %12s %12s\n",
+    std::printf("\nThread scaling at n=2^14 (seconds; kernels)\n%8s %12s %12s\n",
                 "threads", "multiexp", "fft");
     G1 multiexp_baseline = G1::infinity();
     std::vector<Fr> fft_baseline;
     for (const unsigned w : widths) {
       set_num_threads(w);
-      ScopedKernelEngine on(true);
       G1 acc_me = G1::infinity();
       const double me_s = median_seconds(3, [&] { acc_me = multiexp(pts, ks); });
       std::vector<Fr> fft_out;

@@ -87,14 +87,15 @@ class MicrotaskContract : public Contract {
   }
 
   void restore_state(const Bytes& state) override {
-    std::size_t off = 0;
-    task_id_ = read_frame(state, off);
-    const std::uint32_t n = read_u32_be(state, off);
-    off += 4;
+    // The snapshot's own size bounds every length and count in it.
+    const auto cap = static_cast<std::uint32_t>(state.size());
+    ByteReader r(state, "microtask snapshot");
+    task_id_ = r.frame(cap);
+    const std::uint32_t n = r.count(cap);
     entries_.clear();
     entries_.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) entries_.push_back(read_frame(state, off));
-    if (off != state.size()) throw std::invalid_argument("microtask: trailing snapshot data");
+    for (std::uint32_t i = 0; i < n; ++i) entries_.push_back(r.frame(cap));
+    r.expect_end();
   }
 
   std::size_t entry_count() const { return entries_.size(); }

@@ -17,6 +17,7 @@
 #include "auth/cpl_auth.h"
 #include "common/thread_pool.h"
 #include "ec/pairing.h"
+#include "kernel_oracles.h"
 #include "obs/obs.h"
 #include "zebralancer/reward_circuit.h"
 
@@ -137,9 +138,6 @@ int main() {
     unsigned threads;
     double setup_s, prove_s, verify_s, batch_s;
     Bytes vk_bytes, proof_bytes;
-    snark::VerifyingKey vk;
-    std::vector<Fr> statement;
-    snark::Proof proof;
   };
   const RewardCircuitSpec bench_spec{11u, "majority-vote:4"};
   constexpr std::uint64_t kShare = 1'000'000;
@@ -163,7 +161,7 @@ int main() {
     const std::vector<Fr> statement = reward_statement(enc.epk, kShare, cts, inst.rewards);
     const bool ok = snark::verify(keys.vk, statement, inst.proof);
     const auto t4 = Clock::now();
-    const std::vector<snark::BatchVerifyItem> items(kBatch, {keys.vk, statement, inst.proof});
+    const std::vector<snark::BatchVerifyItem> items(kBatch, {&keys.vk, statement, inst.proof});
     const std::vector<std::uint8_t> batch_ok = snark::verify_batch(items);
     const auto t5 = Clock::now();
     if (!ok || std::count(batch_ok.begin(), batch_ok.end(), 1) != std::ssize(items)) {
@@ -177,9 +175,6 @@ int main() {
     p.batch_s = secs(t4, t5);
     p.vk_bytes = keys.vk.to_bytes();
     p.proof_bytes = inst.proof.to_bytes();
-    p.vk = keys.vk;
-    p.statement = statement;
-    p.proof = inst.proof;
     return p;
   };
 
@@ -270,22 +265,6 @@ int main() {
     }
   }
 
-  // --- Prepared batch verification (same items as verify_batch above) -----
-  const snark::PreparedVerifyingKey pvk = snark::PreparedVerifyingKey::prepare(parallel.vk);
-  std::vector<snark::PreparedBatchVerifyItem> prepared_items;
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    prepared_items.push_back({&pvk, parallel.statement, parallel.proof});
-  }
-  const auto tb0 = Clock::now();
-  const std::vector<std::uint8_t> prepared_ok = snark::verify_batch(prepared_items);
-  const auto tb1 = Clock::now();
-  const double verify_batch_prepared_s = std::chrono::duration<double>(tb1 - tb0).count();
-  if (std::count(prepared_ok.begin(), prepared_ok.end(), 1) != std::ssize(prepared_items)) {
-    std::fprintf(stderr, "FATAL: prepared batch verification failed\n");
-    std::exit(1);
-  }
-  std::printf("verify_batch8 (shared prepared key): %.3fs\n", verify_batch_prepared_s);
-
   // --- Pairing engine: textbook vs fast vs prepared (single-threaded) -----
   std::fprintf(stderr, "[pairing] single-threaded engine comparison...\n");
   set_num_threads(1);
@@ -300,12 +279,13 @@ int main() {
     }
     return std::chrono::duration<double>(Clock::now() - t0).count() / kPairingReps;
   };
-  const double pairing_textbook_s = time_pairing([&] { return pairing_textbook(pair_q, pair_p); });
+  const double pairing_textbook_s =
+      time_pairing([&] { return oracle::pairing_textbook(pair_q, pair_p); });
   const double pairing_s = time_pairing([&] { return pairing(pair_q, pair_p); });
   const G2Prepared pair_q_prepared(pair_q);
   const double prepared_pairing_s =
       time_pairing([&] { return final_exponentiation(miller_loop(pair_q_prepared, pair_p)); });
-  if (pairing(pair_q, pair_p) != pairing_textbook(pair_q, pair_p)) {
+  if (pairing(pair_q, pair_p) != oracle::pairing_textbook(pair_q, pair_p)) {
     std::fprintf(stderr, "FATAL: fast pairing diverged from the textbook pairing\n");
     std::exit(1);
   }
@@ -364,7 +344,6 @@ int main() {
                    "no widths to ladder over\",\n");
     }
     std::fprintf(f,
-                 "  \"verify_batch_prepared_s\": %.6f,\n"
                  "  \"pairing_textbook_s\": %.6f,\n"
                  "  \"pairing_s\": %.6f,\n"
                  "  \"prepared_pairing_s\": %.6f,\n"
@@ -372,7 +351,7 @@ int main() {
                  "  \"prepared_pairing_speedup\": %.3f,\n"
                  "  \"identical_keys\": %s,\n"
                  "  \"identical_proofs\": %s,\n",
-                 verify_batch_prepared_s, pairing_textbook_s, pairing_s, prepared_pairing_s,
+                 pairing_textbook_s, pairing_s, prepared_pairing_s,
                  pairing_speedup, prepared_pairing_speedup, identical_keys ? "true" : "false",
                  identical_proofs ? "true" : "false");
     // Span totals + counters accumulated across every pass above: where the

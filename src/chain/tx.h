@@ -4,7 +4,6 @@
 // data = contract_type || ctor args), or calls a contract method
 // (data = method || args).
 
-#include <optional>
 #include <string>
 
 #include "chain/address.h"
@@ -57,9 +56,12 @@ std::size_t signature_verdict_cache_size();
 /// pseudonyms.
 class Wallet {
  public:
-  explicit Wallet(Rng& rng) : key_(EcdsaKeyPair::generate(rng)), rng_(rng.fork("wallet")) {}
+  explicit Wallet(Rng& rng)
+      : key_(EcdsaKeyPair::generate(rng)),
+        rng_(rng.fork("wallet")),
+        address_(Address::from_bytes(key_.address())) {}
 
-  const Address& address() const { return address_init_(); }
+  const Address& address() const { return address_; }
 
   Transaction make_transaction(const Address& to, std::uint64_t value, std::uint64_t gas_limit,
                                const std::string& method, const Bytes& payload);
@@ -68,15 +70,10 @@ class Wallet {
   void set_nonce(std::uint64_t nonce) { nonce_ = nonce; }
 
  private:
-  const Address& address_init_() const {
-    if (!cached_address_) cached_address_ = Address::from_bytes(key_.address());
-    return *cached_address_;
-  }
-
   EcdsaKeyPair key_;
   Rng rng_;
+  Address address_;
   std::uint64_t nonce_ = 0;
-  mutable std::optional<Address> cached_address_;
 };
 
 }  // namespace zl::chain

@@ -72,28 +72,29 @@ void prevalidate_block(const ChainState& pre_state, const std::vector<Transactio
   // must not serialize against extractor registration, and verify_batch
   // re-enters the thread pool (rank kPoolRegion < kExtractorRegistry would
   // otherwise trip the ordering check).
-  std::vector<snark::BatchVerifyItem> items;
+  std::vector<SnarkPrecheck> prechecks;
   {
     ExtractorRegistry& registry = extractor_registry();
     const MutexLock lock(registry.mutex);
     for (const Transaction& tx : txs) {
       for (const SnarkPrecheckExtractor& extract : registry.extractors) {
         try {
-          for (SnarkPrecheck& p : extract(pre_state, tx)) {
-            items.push_back({std::move(p.vk), std::move(p.statement), p.proof});
-          }
+          for (SnarkPrecheck& p : extract(pre_state, tx)) prechecks.push_back(std::move(p));
         } catch (const std::exception&) {
           // Extractors are best-effort; a confused one warms nothing.
         }
       }
     }
   }
-  if (items.empty()) return;
-  ZL_OBS_COUNTER_ADD("validation.snark_precheck.items", items.size());
+  if (prechecks.empty()) return;
+  ZL_OBS_COUNTER_ADD("validation.snark_precheck.items", prechecks.size());
+  std::vector<snark::BatchVerifyItem> items;
+  items.reserve(prechecks.size());
+  for (const SnarkPrecheck& p : prechecks) items.push_back({&p.vk, p.statement, p.proof});
   const std::vector<std::uint8_t> ok = snark::verify_batch(items);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    warm_snark_verify_cache(
-        snark_verify_cache_key(items[i].vk, items[i].public_inputs, items[i].proof), ok[i] != 0);
+  for (std::size_t i = 0; i < prechecks.size(); ++i) {
+    const SnarkPrecheck& p = prechecks[i];
+    warm_snark_verify_cache(snark_verify_cache_key(p.vk, p.statement, p.proof), ok[i] != 0);
   }
 }
 

@@ -64,33 +64,9 @@ void append_u64_be(Bytes& out, std::uint64_t v) {
   }
 }
 
-std::uint32_t read_u32_be(const Bytes& in, std::size_t offset) {
-  if (offset + 4 > in.size()) throw std::out_of_range("read_u32_be: truncated");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | in[offset + i];
-  return v;
-}
-
-std::uint64_t read_u64_be(const Bytes& in, std::size_t offset) {
-  if (offset + 8 > in.size()) throw std::out_of_range("read_u64_be: truncated");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | in[offset + i];
-  return v;
-}
-
 void append_frame(Bytes& out, const Bytes& part) {
   append_u32_be(out, static_cast<std::uint32_t>(part.size()));
   out.insert(out.end(), part.begin(), part.end());
-}
-
-Bytes read_frame(const Bytes& in, std::size_t& offset) {
-  const std::uint32_t len = read_u32_be(in, offset);
-  offset += 4;
-  if (offset + len > in.size()) throw std::out_of_range("read_frame: truncated");
-  Bytes part(in.begin() + static_cast<std::ptrdiff_t>(offset),
-             in.begin() + static_cast<std::ptrdiff_t>(offset + len));
-  offset += len;
-  return part;
 }
 
 void ByteReader::fail(const char* detail) const {

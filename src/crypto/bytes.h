@@ -34,18 +34,10 @@ Bytes concat(std::initializer_list<Bytes> parts);
 void append_u32_be(Bytes& out, std::uint32_t v);
 void append_u64_be(Bytes& out, std::uint64_t v);
 
-/// Read big-endian integers back. Throws std::out_of_range if truncated.
-/// Legacy API: decoders in src/ must use ByteReader instead (zl-lint's
-/// unchecked-length rule enforces it); these remain for tests and tools.
-std::uint32_t read_u32_be(const Bytes& in, std::size_t offset);
-std::uint64_t read_u64_be(const Bytes& in, std::size_t offset);
-
-/// Append a length-prefixed (u32) byte string; the inverse returns the string
-/// and advances `offset`. This is the canonical TLV-free framing used by all
-/// serialized structures in the repo. The reading half is legacy like
-/// read_u32_be — parse via ByteReader::frame(cap) in src/.
+/// Append a length-prefixed (u32) byte string. This is the canonical
+/// TLV-free framing used by all serialized structures in the repo;
+/// ByteReader::frame(cap) below reads it back.
 void append_frame(Bytes& out, const Bytes& part);
-Bytes read_frame(const Bytes& in, std::size_t& offset);
 
 /// Every malformed encoding — truncation, a length prefix over its declared
 /// cap, trailing bytes, a bad discriminant — surfaces as DecodeError. It

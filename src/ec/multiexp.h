@@ -5,21 +5,17 @@
 // the number of circuit variables/constraints, so this is the performance-
 // critical primitive of the whole proving pipeline.
 //
-// Two engines live here (DESIGN.md §11):
+// The kernel (DESIGN.md §11): signed-digit windows (digits in
+// [-2^(c-1), 2^(c-1)], so half the buckets), batch-affine bucket
+// accumulation (buckets stay affine; each conflict-free pass resolves its
+// additions with ONE field inversion via Montgomery's trick), and — for G1
+// and G2 — a GLV front-end that splits every scalar into two half-width
+// scalars against the endomorphism image, halving the window count.
 //
-//   multiexp_textbook — the original Jacobian bucket method, kept verbatim
-//     as the bit-equality oracle.
-//   multiexp          — the kernel engine (default; toggled by
-//     common/kernel_engine.h): signed-digit windows (digits in
-//     [-2^(c-1), 2^(c-1)], so half the buckets), batch-affine bucket
-//     accumulation (buckets stay affine; each conflict-free pass resolves
-//     its additions with ONE field inversion via Montgomery's trick), and —
-//     for G1 — a GLV front-end that splits every scalar into two half-width
-//     scalars against the endomorphism image, halving the window count.
-//
-// Group addition is exact, so both engines compute the same group element
-// for any bucketing/order; serialization normalizes to affine, hence byte
-// outputs are identical (pinned by tests/test_ec.cpp and test_snark.cpp).
+// Group addition is exact, so any bucketing/order computes the same group
+// element; serialization normalizes to affine, hence byte outputs match the
+// textbook Jacobian bucket method kept as a test-only oracle
+// (tests/kernel_oracles.h; pinned by tests/test_ec.cpp and test_snark.cpp).
 //
 // Parallelism: the scalar range is split into chunks; each worker runs the
 // bucket method over its slice, producing one partial sum per window, and
@@ -32,13 +28,10 @@
 // common in our circuits.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
-#include "common/kernel_engine.h"
 #include "common/thread_pool.h"
 #include "ec/bn254_groups.h"
 #include "ec/glv.h"
@@ -134,7 +127,7 @@ inline unsigned kernel_window_bits(std::size_t n, unsigned scalar_bits) {
   return best_c;
 }
 
-/// Core of the kernel engine: sum_i k[i] * pts[i] over sign-adjusted affine
+/// Core of the kernel: sum_i k[i] * pts[i] over sign-adjusted affine
 /// points and magnitude scalars of at most `scalar_bits` bits.
 template <typename Point>
 Point multiexp_core(const std::vector<typename Point::Affine>& pts, const std::vector<Limbs>& k,
@@ -285,93 +278,7 @@ Point multiexp_core(const std::vector<typename Point::Affine>& pts, const std::v
   return result;
 }
 
-}  // namespace detail
-
-/// The original Jacobian bucket method, kept as the bit-equality oracle for
-/// the kernel engine (and the implementation behind it when the engine is
-/// toggled off).
-template <typename Point>
-Point multiexp_textbook(const std::vector<Point>& points, const std::vector<Fr>& scalars) {
-  if (points.size() != scalars.size()) {
-    throw std::invalid_argument("multiexp: size mismatch");
-  }
-  const std::size_t n = points.size();
-  if (n == 0) return Point::infinity();
-  if (n < 8) {
-    Point acc = Point::infinity();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!scalars[i].is_zero()) acc += points[i] * scalars[i].to_bigint();
-    }
-    return acc;
-  }
-
-  // Window size ~ log2(n) is the classic Pippenger choice; the window count
-  // is derived from the field (254 bits for Fr), not a hardcoded 256.
-  const unsigned c = n < 32 ? 3 : static_cast<unsigned>(std::log2(static_cast<double>(n))) - 1;
-  const unsigned scalar_bits = Fr::kModulusBits;
-  const unsigned windows = (scalar_bits + c - 1) / c;
-
-  // Decompose every scalar into canonical limbs exactly once.
-  std::vector<Limbs> digits(n);
-  parallel_for(n, [&](std::size_t i) { digits[i] = scalars[i].to_limbs(); });
-  const auto is_zero_scalar = [&](std::size_t i) {
-    return digits[i] == Limbs{0, 0, 0, 0};
-  };
-
-  // Per-chunk partial window sums. Keep chunks coarse: each one walks all
-  // windows over its slice with a private bucket array.
-  const std::size_t max_chunks = static_cast<std::size_t>(num_threads());
-  std::size_t chunks = n / 512;
-  if (chunks < 1) chunks = 1;
-  if (chunks > max_chunks) chunks = max_chunks;
-
-  std::vector<std::vector<Point>> partial(chunks);
-  ThreadPool::instance().run(chunks, [&](std::size_t t) {
-    const auto [begin, end] = chunk_range(n, chunks, t);
-    std::vector<Point>& sums = partial[t];
-    sums.assign(windows, Point::infinity());
-    std::vector<Point> buckets(static_cast<std::size_t>(1) << c);
-    for (unsigned w = 0; w < windows; ++w) {
-      std::fill(buckets.begin(), buckets.end(), Point::infinity());
-      for (std::size_t i = begin; i < end; ++i) {
-        if (is_zero_scalar(i)) continue;
-        const std::uint32_t v = detail::window_digit(digits[i], w * c, c);
-        if (v != 0) buckets[v] += points[i];
-      }
-      // Sum b_1 + 2 b_2 + ... via running suffix sums.
-      Point running = Point::infinity();
-      Point window_sum = Point::infinity();
-      for (std::size_t b = buckets.size(); b-- > 1;) {
-        running += buckets[b];
-        window_sum += running;
-      }
-      sums[w] = window_sum;
-    }
-  });
-
-  // Deterministic merge: windows high-to-low (Horner), chunks in order.
-  Point result = Point::infinity();
-  for (unsigned w = windows; w-- > 0;) {
-    for (unsigned bit = 0; bit < c; ++bit) result = result.dbl();
-    for (std::size_t t = 0; t < chunks; ++t) result += partial[t][w];
-  }
-  return result;
-}
-
-namespace detail {
-
-/// Kernel engine without the GLV front-end (G2, or any curve without a
-/// derived endomorphism): signed digits over the full 254-bit scalars.
-template <typename Point>
-Point multiexp_kernel_generic(const std::vector<Point>& points, const std::vector<Fr>& scalars) {
-  const std::size_t n = points.size();
-  const std::vector<typename Point::Affine> pts = Point::normalize(points);
-  std::vector<Limbs> k(n);
-  parallel_for(n, [&](std::size_t i) { k[i] = scalars[i].to_limbs(); });
-  return multiexp_core<Point>(pts, k, Fr::kModulusBits);
-}
-
-/// GLV kernel engine (G1 and G2): split every scalar into two half-width
+/// GLV kernel (G1 and G2): split every scalar into two half-width
 /// magnitudes against the base point and its endomorphism image. Twice the
 /// points at half the windows — the windowed doubling chain halves outright.
 template <typename Point>
@@ -402,23 +309,23 @@ Point multiexp_kernel_glv(const std::vector<Point>& points, const std::vector<Fr
 
 }  // namespace detail
 
-/// Computes sum_i scalars[i] * points[i]. Scalars are Fr elements. Routes to
-/// the kernel engine unless it is toggled off (common/kernel_engine.h); tiny
-/// inputs always take the textbook plain ladder.
+/// Computes sum_i scalars[i] * points[i] over G1 or G2 (the kernel needs the
+/// GLV endomorphism). Scalars are Fr elements. Tiny inputs take a plain sum
+/// of scalar multiplications; everything else runs the kernel.
 template <typename Point>
 Point multiexp(const std::vector<Point>& points, const std::vector<Fr>& scalars) {
   if (points.size() != scalars.size()) {
     throw std::invalid_argument("multiexp: size mismatch");
   }
   ZL_TRACE_SPAN("prover.multiexp");
-  if (points.size() < 8 || !kernel_engine_enabled()) {
-    return multiexp_textbook(points, scalars);
+  if (points.size() < 8) {
+    Point acc = Point::infinity();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (!scalars[i].is_zero()) acc += points[i] * scalars[i].to_bigint();
+    }
+    return acc;
   }
-  if constexpr (std::is_same_v<Point, G1> || std::is_same_v<Point, G2>) {
-    return detail::multiexp_kernel_glv(points, scalars);
-  } else {
-    return detail::multiexp_kernel_generic(points, scalars);
-  }
+  return detail::multiexp_kernel_glv(points, scalars);
 }
 
 }  // namespace zl

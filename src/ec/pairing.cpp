@@ -61,93 +61,6 @@ Fq12 final_exponentiation_easy(const Fq12& f) {
   return f1.frobenius_power(2) * f1;            // ^(q^2 + 1)
 }
 
-// ---------------------------------------------------------------------------
-// Textbook reference implementation (pre-PR-2 code path), kept verbatim for
-// differential tests and as the bench_table1 speedup baseline.
-// ---------------------------------------------------------------------------
-
-/// A point of E(Fq12): y^2 = x^3 + 3, in affine coordinates.
-struct Ext12Point {
-  Fq12 x, y;
-};
-
-/// Untwist psi: E'(Fq2) -> E(Fq12), (x, y) |-> (x w^2, y w^3).
-Ext12Point untwist(const G2& q) {
-  const auto [qx, qy] = q.to_affine();
-  // w^2 = v: multiplying an Fq2 constant c by w^2 gives Fq12(c*v, 0) i.e.
-  // Fq6 coefficient c1 = c. w^3 = v*w: gives a1 with c1 = c.
-  Fq12 x = Fq12(Fq6(Fq2::zero(), qx, Fq2::zero()), Fq6::zero());
-  Fq12 y = Fq12(Fq6::zero(), Fq6(Fq2::zero(), qy, Fq2::zero()));
-  return {x, y};
-}
-
-Fq12 embed_fq(const Fq& c) {
-  return Fq12(Fq6(Fq2(c, Fq::zero()), Fq2::zero(), Fq2::zero()), Fq6::zero());
-}
-
-/// Evaluate the line through `a` and `b` (tangent if a == b) at the G1 point
-/// (px, py) embedded in Fq12, then advance a := a + b.
-///
-/// Returns l(P) = (py - y_a) - lambda (px - x_a).
-Fq12 line_and_step(Ext12Point& a, const Ext12Point& b, const Fq12& px, const Fq12& py) {
-  Fq12 lambda;
-  if (a.x == b.x && a.y == b.y) {
-    // Tangent: lambda = 3 x^2 / 2 y.
-    const Fq12 x2 = a.x.squared();
-    lambda = (x2 + x2 + x2) * (a.y + a.y).inverse();
-  } else {
-    if (a.x == b.x) {
-      // Vertical line (b == -a): l(P) = px - x_a; result is the infinity point.
-      const Fq12 l = px - a.x;
-      a.x = Fq12::zero();
-      a.y = Fq12::zero();  // marker; never used afterwards for valid loop lengths
-      return l;
-    }
-    lambda = (b.y - a.y) * (b.x - a.x).inverse();
-  }
-  const Fq12 l = (py - a.y) - lambda * (px - a.x);
-  // Chord-tangent addition.
-  const Fq12 x3 = lambda.squared() - a.x - b.x;
-  const Fq12 y3 = lambda * (a.x - x3) - a.y;
-  a.x = x3;
-  a.y = y3;
-  return l;
-}
-
-Fq12 miller_loop_textbook(const G2& q, const G1& p) {
-  if (q.is_infinity() || p.is_infinity()) {
-    throw std::invalid_argument("miller_loop: inputs must be finite points");
-  }
-  const Ext12Point base = untwist(q);
-  const auto [px_fq, py_fq] = p.to_affine();
-  const Fq12 px = embed_fq(px_fq);
-  const Fq12 py = embed_fq(py_fq);
-
-  const BigInt& s = bn254_ate_loop_count();
-  const std::size_t bits = mpz_sizeinbase(s.get_mpz_t(), 2);
-
-  Fq12 f = Fq12::one();
-  Ext12Point t = base;
-  for (std::size_t i = bits - 1; i-- > 0;) {
-    f = f.squared() * line_and_step(t, t, px, py);
-    if (mpz_tstbit(s.get_mpz_t(), i)) {
-      f = f * line_and_step(t, base, px, py);
-    }
-  }
-  return f;
-}
-
-Fq12 final_exponentiation_textbook(const Fq12& f) {
-  // Easy part: f^((q^6 - 1)(q^2 + 1)).
-  const Fq12 f2 = final_exponentiation_easy(f);
-  // Hard part: ^((q^4 - q^2 + 1) / r), by plain exponentiation.
-  static const BigInt hard_exponent = []() -> BigInt {
-    const BigInt q = Fq::modulus_bigint();
-    return BigInt((q * q * q * q - q * q + 1) / Fr::modulus_bigint());
-  }();
-  return f2.pow(hard_exponent);
-}
-
 }  // namespace
 
 G2Prepared::G2Prepared(const G2& q) {
@@ -269,26 +182,6 @@ Fq12 pairing_product(const std::vector<std::pair<const G2Prepared*, G1>>& pairs)
   Fq12 acc = Fq12::one();
   for (const Fq12& f : loops) acc *= f;
   return final_exponentiation(acc);
-}
-
-Fq12 pairing_textbook(const G2& q, const G1& p) {
-  if (q.is_infinity() || p.is_infinity()) return Fq12::one();
-  return final_exponentiation_textbook(miller_loop_textbook(q, p));
-}
-
-Fq12 pairing_product_textbook(const std::vector<std::pair<G2, G1>>& pairs) {
-  std::vector<const std::pair<G2, G1>*> finite;
-  finite.reserve(pairs.size());
-  for (const auto& pr : pairs) {
-    if (pr.first.is_infinity() || pr.second.is_infinity()) continue;
-    finite.push_back(&pr);
-  }
-  const std::vector<Fq12> loops = parallel_map<Fq12>(finite.size(), [&](std::size_t i) {
-    return miller_loop_textbook(finite[i]->first, finite[i]->second);
-  });
-  Fq12 acc = Fq12::one();
-  for (const Fq12& f : loops) acc *= f;
-  return final_exponentiation_textbook(acc);
 }
 
 }  // namespace zl

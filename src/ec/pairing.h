@@ -20,12 +20,10 @@
 // coefficients carry per-step Fq2 scale factors from the projective
 // formulas; those lie in a subfield killed by the easy part of the final
 // exponentiation, so pairing outputs are bit-identical to the textbook
-// implementation (pinned by tests/test_pairing_fast.cpp).
-//
-// The textbook implementation (affine chord-tangent lines in full Fq12, one
-// Fq12 inversion per step, generic-pow hard part) is retained as
-// `pairing_textbook` / `pairing_product_textbook` for differential tests and
-// speedup benchmarks.
+// implementation (affine chord-tangent lines in full Fq12, one Fq12
+// inversion per step, generic-pow hard part), which lives with the tests as
+// an oracle (tests/kernel_oracles.h) and is pinned by
+// tests/test_pairing_fast.cpp.
 //
 // Verified by bilinearity/non-degeneracy property tests in tests/test_ec.cpp
 // and old-vs-new bit-equality tests in tests/test_pairing_fast.cpp.
@@ -90,12 +88,5 @@ Fq12 pairing_product(const std::vector<std::pair<G2, G1>>& pairs);
 /// non-null and outlive the call; infinity entries (on either side)
 /// contribute the factor one, matching the unprepared overload.
 Fq12 pairing_product(const std::vector<std::pair<const G2Prepared*, G1>>& pairs);
-
-/// Reference textbook implementation (affine Fq12 lines, one Fq12 inversion
-/// per Miller step, generic-pow final exponentiation). Kept only for
-/// differential testing and as the speedup baseline in bench_table1 — all
-/// production callers use `pairing` / `pairing_product`.
-Fq12 pairing_textbook(const G2& q, const G1& p);
-Fq12 pairing_product_textbook(const std::vector<std::pair<G2, G1>>& pairs);
 
 }  // namespace zl

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/kernel_engine.h"
 #include "common/thread_pool.h"
 #include "obs/obs.h"
 
@@ -16,10 +15,11 @@ namespace {
 // stage.
 constexpr std::size_t kFftTile = 1024;
 
-// Gathers the flat twiddle table (tw[j] = omega^j, j < size/2) into the
-// per-stage sequential layout described in domain.h.
-std::vector<Fr> build_stage_twiddles(const std::vector<Fr>& tw, std::size_t size) {
+// Gathers the powers omega^j, j < size/2, into the per-stage sequential
+// layout described in domain.h.
+std::vector<Fr> build_stage_twiddles(const Fr& omega, std::size_t size) {
   if (size < 2) return {};
+  const std::vector<Fr> tw = power_table(omega, size / 2);
   std::vector<Fr> out(size - 1);
   for (std::size_t half = 1; half * 2 <= size; half <<= 1) {
     const std::size_t stride = size / (2 * half);
@@ -88,38 +88,16 @@ EvaluationDomain::EvaluationDomain(std::size_t min_size) {
   coset_gen_ = Fr::from_u64(kFrMultiplicativeGenerator);
   coset_gen_inv_ = coset_gen_.inverse();
 
-  twiddles_ = power_table(omega_, size_ / 2);
-  twiddles_inv_ = power_table(omega_inv_, size_ / 2);
-  stage_twiddles_ = build_stage_twiddles(twiddles_, size_);
-  stage_twiddles_inv_ = build_stage_twiddles(twiddles_inv_, size_);
+  stage_twiddles_ = build_stage_twiddles(omega_, size_);
+  stage_twiddles_inv_ = build_stage_twiddles(omega_inv_, size_);
   coset_powers_ = power_table(coset_gen_, size_);
   coset_powers_inv_ = power_table(coset_gen_inv_, size_);
 }
 
-void EvaluationDomain::fft_textbook(std::vector<Fr>& a, const std::vector<Fr>& twiddles) const {
-  bit_reverse_permute(a, size_);
-  // Each stage performs size/2 independent butterflies; they write disjoint
-  // index pairs, so the stage parallelizes freely (stages are barriers).
-  for (std::size_t len = 2; len <= size_; len <<= 1) {
-    const std::size_t half = len >> 1;
-    const std::size_t stride = size_ / len;  // twiddle step within a block
-    parallel_for(
-        size_ / 2,
-        [&](std::size_t b) {
-          const std::size_t block = b / half, k = b % half;
-          const std::size_t i0 = block * len + k;
-          const std::size_t i1 = i0 + half;
-          const Fr u = a[i0];
-          const Fr v = a[i1] * twiddles[k * stride];
-          a[i0] = u + v;
-          a[i1] = u - v;
-        },
-        /*min_grain=*/2048);
-  }
-}
-
 void EvaluationDomain::fft_blocked(std::vector<Fr>& a,
                                    const std::vector<Fr>& stage_twiddles) const {
+  if (a.size() != size_) throw std::invalid_argument("fft: size mismatch");
+  ZL_TRACE_SPAN("prover.fft");
   bit_reverse_permute(a, size_);
   // Lower stages (len <= tile): after bit reversal, every butterfly with
   // len <= tile stays inside one aligned tile-sized slice, so each slice
@@ -166,25 +144,10 @@ void EvaluationDomain::fft_blocked(std::vector<Fr>& a,
   }
 }
 
-void EvaluationDomain::fft_internal(std::vector<Fr>& a, const std::vector<Fr>& twiddles,
-                                    const std::vector<Fr>& stage_twiddles) const {
-  if (a.size() != size_) throw std::invalid_argument("fft: size mismatch");
-  ZL_TRACE_SPAN("prover.fft");
-  // Both engines evaluate the same butterfly DAG over exact arithmetic, so
-  // their outputs are bit-identical (pinned by tests/test_snark.cpp).
-  if (kernel_engine_enabled()) {
-    fft_blocked(a, stage_twiddles);
-  } else {
-    fft_textbook(a, twiddles);
-  }
-}
-
-void EvaluationDomain::fft(std::vector<Fr>& a) const {
-  fft_internal(a, twiddles_, stage_twiddles_);
-}
+void EvaluationDomain::fft(std::vector<Fr>& a) const { fft_blocked(a, stage_twiddles_); }
 
 void EvaluationDomain::ifft(std::vector<Fr>& a) const {
-  fft_internal(a, twiddles_inv_, stage_twiddles_inv_);
+  fft_blocked(a, stage_twiddles_inv_);
   parallel_for(
       size_, [&](std::size_t i) { a[i] *= size_inv_; }, /*min_grain=*/2048);
 }
@@ -214,11 +177,13 @@ std::vector<Fr> EvaluationDomain::lagrange_coeffs_at(const Fr& tau) const {
   const Fr z = vanishing_poly_at(tau);
   if (z.is_zero()) throw std::domain_error("lagrange_coeffs_at: tau lies in the domain");
   // L_j(tau) = (Z(tau) / size) * omega^j / (tau - omega^j). omega^j comes
-  // from the twiddle tables: omega^j for j < size/2, and
+  // from the last FFT stage's twiddles: omega^j for j < size/2, and
   // omega^(size/2 + k) = -omega^k (omega^(size/2) = -1 in a 2-adic domain).
+  const std::size_t half = size_ / 2;
   const auto omega_pow = [&](std::size_t j) {
     if (size_ == 1) return Fr::one();
-    return j < size_ / 2 ? twiddles_[j] : -twiddles_[j - size_ / 2];
+    const Fr* tw = stage_twiddles_.data() + (half - 1);
+    return j < half ? tw[j] : -tw[j - half];
   };
   std::vector<Fr> denoms(size_);
   parallel_for(

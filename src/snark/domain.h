@@ -3,8 +3,8 @@
 // circuit in this system). Used by the Groth16 prover to compute the QAP
 // quotient polynomial H, and by the setup to evaluate Lagrange bases.
 //
-// Construction precomputes, per domain: the twiddle tables (powers of omega
-// and omega^-1, size/2 each) consumed by every FFT stage, and the coset
+// Construction precomputes, per domain: the per-stage twiddle tables (powers
+// of omega and omega^-1, size-1 each) consumed by the FFT, and the coset
 // power tables (powers of the multiplicative generator g and of g^-1, size
 // each) shared by coset_fft/coset_ifft — the three coset FFTs of one
 // compute_h call reuse one table instead of re-deriving a running product
@@ -57,9 +57,6 @@ class EvaluationDomain {
   std::vector<Fr> lagrange_coeffs_at(const Fr& tau) const;
 
  private:
-  void fft_internal(std::vector<Fr>& a, const std::vector<Fr>& twiddles,
-                    const std::vector<Fr>& stage_twiddles) const;
-  void fft_textbook(std::vector<Fr>& a, const std::vector<Fr>& twiddles) const;
   void fft_blocked(std::vector<Fr>& a, const std::vector<Fr>& stage_twiddles) const;
 
   std::size_t size_;
@@ -69,12 +66,11 @@ class EvaluationDomain {
   Fr size_inv_;
   Fr coset_gen_;
   Fr coset_gen_inv_;
-  std::vector<Fr> twiddles_;          // omega^j,   j < size/2
-  std::vector<Fr> twiddles_inv_;      // omega^-j,  j < size/2
-  // Per-stage twiddle layout for the cache-blocked kernel: the stage with
+  // Per-stage twiddle layout for the cache-blocked FFT: the stage with
   // half-block h occupies [h-1, 2h-1), entry k = omega^(k * size/(2h)), so
   // every butterfly stage reads its twiddles sequentially instead of with a
-  // stride of size/len through the flat table. size-1 entries total.
+  // stride of size/len through one flat table. size-1 entries total; the
+  // last stage's slice [size/2-1, size-1) is omega^k for k < size/2.
   std::vector<Fr> stage_twiddles_;
   std::vector<Fr> stage_twiddles_inv_;
   std::vector<Fr> coset_powers_;      // g^j,       j < size

@@ -1,8 +1,9 @@
 #include "snark/groth16.h"
 
+#include <map>
 #include <stdexcept>
+#include <utility>
 
-#include "common/kernel_engine.h"
 #include "common/thread_pool.h"
 #include "ec/glv.h"
 #include "ec/multiexp.h"
@@ -201,7 +202,6 @@ Keypair setup(const ConstraintSystem& cs, Rng& rng) {
   vk.beta_g2 = pk.beta_g2;
   vk.gamma_g2 = g2_table.mul(gamma);
   vk.delta_g2 = pk.delta_g2;
-  vk.alpha_beta_gt();  // precompute e(alpha, beta)
   return keys;
 }
 
@@ -232,22 +232,12 @@ Proof prove(const ProvingKey& pk, const ConstraintSystem& cs, const std::vector<
   return proof;
 }
 
-const Fq12& VerifyingKey::alpha_beta_gt() const {
-  // One-shot lazy cache populated at most once per key, never in a verify
-  // hot loop — the textbook path is fine here and saves a G2 preparation.
-  if (!alpha_beta.has_value()) alpha_beta = pairing(beta_g2, alpha_g1);  // zl-lint: allow(textbook-pairing)
-  return *alpha_beta;
-}
-
 PreparedVerifyingKey PreparedVerifyingKey::prepare(const VerifyingKey& vk) {
   PreparedVerifyingKey pvk;
   pvk.beta_g2 = G2Prepared(vk.beta_g2);
   pvk.gamma_g2 = G2Prepared(vk.gamma_g2);
   pvk.delta_g2 = G2Prepared(vk.delta_g2);
-  // Populate (and reuse) the key's lazy e(alpha, beta) cache, sharing the
-  // prepared beta schedule just built.
-  if (!vk.alpha_beta.has_value()) vk.alpha_beta = pairing(pvk.beta_g2, vk.alpha_g1);
-  pvk.alpha_beta = *vk.alpha_beta;
+  pvk.alpha_beta = pairing(pvk.beta_g2, vk.alpha_g1);  // shares the beta schedule
   pvk.ic = vk.ic;
   return pvk;
 }
@@ -267,12 +257,8 @@ bool verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_input
   G1 vk_x = pvk.ic[0];
   for (std::size_t i = 0; i < public_inputs.size(); ++i) {
     // Public inputs are public by definition, so the variable-time GLV split
-    // is safe here; the ladder stays as the oracle path.
-    if (kernel_engine_enabled()) {
-      vk_x += glv_mul(pvk.ic[i + 1], public_inputs[i]);
-    } else {
-      vk_x += pvk.ic[i + 1] * public_inputs[i];
-    }
+    // is safe here.
+    vk_x += glv_mul(pvk.ic[i + 1], public_inputs[i]);
   }
 
   // e(A, B) == e(alpha, beta) e(vk_x, gamma) e(C, delta), with e(alpha,
@@ -295,24 +281,27 @@ bool verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs, const 
 }
 
 std::vector<std::uint8_t> verify_batch(const std::vector<BatchVerifyItem>& items) {
-  std::vector<std::uint8_t> ok(items.size(), 0);
+  // Group the entries by key bytes, in first-appearance order, so each
+  // distinct key is prepared once however many objects carry it.
+  std::vector<Bytes> key_bytes =
+      parallel_map<Bytes>(items.size(), [&](std::size_t i) { return items[i].vk->to_bytes(); });
+  std::map<Bytes, std::size_t> key_index;
+  std::vector<const VerifyingKey*> distinct;
+  std::vector<std::size_t> item_key(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const auto [it, fresh] = key_index.emplace(std::move(key_bytes[i]), distinct.size());
+    if (fresh) distinct.push_back(items[i].vk);
+    item_key[i] = it->second;
+  }
+  const std::vector<PreparedVerifyingKey> prepared = parallel_map<PreparedVerifyingKey>(
+      distinct.size(), [&](std::size_t k) { return PreparedVerifyingKey::prepare(*distinct[k]); });
   // std::vector<std::uint8_t> (not <bool>) so parallel writes hit disjoint
   // bytes. Nested parallelism inside verify() degrades to serial per item.
-  parallel_for(
-      items.size(),
-      [&](std::size_t i) {
-        ok[i] = verify(items[i].vk, items[i].public_inputs, items[i].proof) ? 1 : 0;
-      },
-      /*min_grain=*/1);
-  return ok;
-}
-
-std::vector<std::uint8_t> verify_batch(const std::vector<PreparedBatchVerifyItem>& items) {
   std::vector<std::uint8_t> ok(items.size(), 0);
   parallel_for(
       items.size(),
       [&](std::size_t i) {
-        ok[i] = verify(*items[i].pvk, items[i].public_inputs, items[i].proof) ? 1 : 0;
+        ok[i] = verify(prepared[item_key[i]], items[i].public_inputs, items[i].proof) ? 1 : 0;
       },
       /*min_grain=*/1);
   return ok;

@@ -8,8 +8,6 @@
 //   Prover(x, w, PP)  -> constant-size proof
 //   Verifier(x, pi, PP) -> accept/reject via a 4-pairing product check
 
-#include <optional>
-
 #include "ec/pairing.h"
 #include "snark/domain.h"
 #include "snark/r1cs.h"
@@ -35,11 +33,6 @@ struct VerifyingKey {
   G2 delta_g2;
   /// IC query: one point per public input, plus one for the constant.
   std::vector<G1> ic;
-  /// Precomputed e(alpha, beta) — verification needs only 3 Miller loops.
-  /// Derived (not serialized); recomputed lazily after deserialization.
-  mutable std::optional<Fq12> alpha_beta;
-
-  const Fq12& alpha_beta_gt() const;
 
   Bytes to_bytes() const;
   static VerifyingKey from_bytes(const Bytes& bytes);
@@ -87,44 +80,30 @@ Keypair setup(const ConstraintSystem& cs, Rng& rng);
 Proof prove(const ProvingKey& pk, const ConstraintSystem& cs, const std::vector<Fr>& assignment,
             Rng& rng);
 
-/// Verify a proof against the public inputs (statement) only. Routes
-/// through a per-call PreparedVerifyingKey; amortize with the prepared
-/// overload when verifying many proofs under one key.
+/// Verify a proof against the public inputs (statement) only. Prepares the
+/// key on every call, e(alpha, beta) included; use verify_batch (or keep a
+/// PreparedVerifyingKey) when verifying many proofs.
 bool verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs, const Proof& proof);
 
-/// Prepared-key verification: bit-identical accept/reject decisions to the
-/// unprepared overload, with the key's G2 schedules computed once up front.
+/// Prepared-key verification: the same accept/reject decision as the
+/// overload above, with the key's pairing work done once up front.
 bool verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs,
             const Proof& proof);
 
-/// One entry of a batch verification. Entries own their verifying-key copy
-/// so concurrent verification never races on the lazily-cached e(alpha,
-/// beta) of a shared key.
+/// One entry of a batch verification. The key is borrowed: it must be
+/// non-null and outlive the verify_batch call. Entries may point at the same
+/// key object or at equal copies.
 struct BatchVerifyItem {
-  VerifyingKey vk;
+  const VerifyingKey* vk = nullptr;
   std::vector<Fr> public_inputs;
   Proof proof;
 };
 
-/// Verifies many proofs with parallel Miller loops: entries are checked
-/// concurrently on the thread pool, each one fully and independently, so a
-/// bad proof in a batch is pinpointed (ok[i] == 0), not just detected.
-/// Used by the task-contract audit path, where the test-net re-checks one
-/// reward proof per finished task.
+/// Verifies many proofs. Each distinct verifying key (matched by serialized
+/// bytes, so equal copies share) is prepared once; then every entry is
+/// checked fully and independently on the thread pool, so a bad proof in a
+/// batch is pinpointed (ok[i] == 0), not just detected. Used by block
+/// prevalidation (chain/validation.h) and the task-contract audit.
 std::vector<std::uint8_t> verify_batch(const std::vector<BatchVerifyItem>& items);
-
-/// One entry of a prepared batch verification. The key pointer must be
-/// non-null and outlive the call; many entries may share one prepared key,
-/// which is how the audit path pays each G2 precomputation exactly once per
-/// distinct verifying key across a whole batch.
-struct PreparedBatchVerifyItem {
-  const PreparedVerifyingKey* pvk = nullptr;
-  std::vector<Fr> public_inputs;
-  Proof proof;
-};
-
-/// Prepared-key batch verification: same parallel schedule and bit-identical
-/// ok-flags as verify_batch, minus the per-item key preparation.
-std::vector<std::uint8_t> verify_batch(const std::vector<PreparedBatchVerifyItem>& items);
 
 }  // namespace zl::snark

@@ -112,9 +112,8 @@ RewardInstruction prove_rewards(const snark::ProvingKey& pk, const RewardCircuit
       reward_statement(enc_key.epk, share, ciphertexts, out.rewards);
   CircuitBuilder b;
   build_reward_circuit(b, spec, statement, enc_key.esk);
-  if (!b.constraint_system().is_satisfied(b.assignment())) {
-    throw std::invalid_argument("prove_rewards: inconsistent witness (wrong esk for epk?)");
-  }
+  // A wrong esk for epk leaves the circuit unsatisfied; prove checks that
+  // before drawing randomness and throws.
   out.proof = snark::prove(pk, b.constraint_system(), b.assignment(), rng);
   return out;
 }

@@ -1,7 +1,6 @@
 #include "zebralancer/task_contract.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
 #include "chain/state.h"
@@ -432,11 +431,9 @@ std::vector<Fr> TaskContract::reward_audit_statement() const {
 
 std::vector<std::size_t> audit_rewarded_tasks(const chain::ChainState& state,
                                               const std::vector<chain::Address>& addresses) {
-  // Tasks deployed from the same circuit share a verifying key; the prepared
-  // keys are deduplicated by serialized bytes so each distinct G2 triple is
-  // precomputed exactly once for the whole batch.
-  std::map<Bytes, std::unique_ptr<snark::PreparedVerifyingKey>> prepared_keys;
-  std::vector<snark::PreparedBatchVerifyItem> items;
+  // Tasks deployed from the same circuit carry equal verifying keys;
+  // verify_batch prepares each distinct key once for the whole batch.
+  std::vector<snark::BatchVerifyItem> items;
   std::vector<std::size_t> item_index;  // items[k] audits addresses[item_index[k]]
   std::vector<std::size_t> failed;
   for (std::size_t i = 0; i < addresses.size(); ++i) {
@@ -445,12 +442,7 @@ std::vector<std::size_t> audit_rewarded_tasks(const chain::ChainState& state,
       failed.push_back(i);
       continue;
     }
-    auto& slot = prepared_keys[task->reward_vk().to_bytes()];
-    if (!slot) {
-      slot = std::make_unique<snark::PreparedVerifyingKey>(
-          snark::PreparedVerifyingKey::prepare(task->reward_vk()));
-    }
-    items.push_back({slot.get(), task->reward_audit_statement(), task->reward_proof()});
+    items.push_back({&task->reward_vk(), task->reward_audit_statement(), task->reward_proof()});
     item_index.push_back(i);
   }
   const std::vector<std::uint8_t> ok = snark::verify_batch(items);

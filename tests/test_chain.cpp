@@ -25,7 +25,7 @@ class CounterContract : public Contract {
       ctx.log("incremented");
     } else if (method == "payout") {
       if (args.size() != 8) throw ContractRevert("bad args");
-      const std::uint64_t amount = read_u64_be(args, 0);
+      const std::uint64_t amount = ByteReader(args).u64();
       if (!ctx.transfer(ctx.sender, amount)) throw ContractRevert("insufficient balance");
     } else if (method == "burn_gas") {
       for (;;) ctx.charge(1000);
@@ -43,8 +43,9 @@ class CounterContract : public Contract {
     return out;
   }
   void restore_state(const Bytes& state) override {
-    initial_ = read_u64_be(state, 0);
-    count_ = read_u64_be(state, 8);
+    ByteReader r(state, "counter state");
+    initial_ = r.u64();
+    count_ = r.u64();
   }
 
  private:

@@ -27,9 +27,10 @@ TEST(Bytes, BigEndianIntegers) {
   append_u32_be(out, 0x01020304u);
   append_u64_be(out, 0x05060708090a0b0cULL);
   EXPECT_EQ(out.size(), 12u);
-  EXPECT_EQ(read_u32_be(out, 0), 0x01020304u);
-  EXPECT_EQ(read_u64_be(out, 4), 0x05060708090a0b0cULL);
-  EXPECT_THROW(read_u64_be(out, 8), std::out_of_range);
+  ByteReader r(out);
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  EXPECT_EQ(r.u64(), 0x05060708090a0b0cULL);
+  EXPECT_THROW(r.u64(), DecodeError);
 }
 
 TEST(Bytes, FrameRoundTrip) {
@@ -37,19 +38,19 @@ TEST(Bytes, FrameRoundTrip) {
   append_frame(out, to_bytes("hello"));
   append_frame(out, {});
   append_frame(out, to_bytes("world"));
-  std::size_t offset = 0;
-  EXPECT_EQ(read_frame(out, offset), to_bytes("hello"));
-  EXPECT_EQ(read_frame(out, offset), Bytes{});
-  EXPECT_EQ(read_frame(out, offset), to_bytes("world"));
-  EXPECT_EQ(offset, out.size());
+  ByteReader r(out);
+  EXPECT_EQ(r.frame(16), to_bytes("hello"));
+  EXPECT_EQ(r.frame(16), Bytes{});
+  EXPECT_EQ(r.frame(16), to_bytes("world"));
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(Bytes, FrameTruncationDetected) {
   Bytes out;
   append_frame(out, to_bytes("hello"));
   out.pop_back();
-  std::size_t offset = 0;
-  EXPECT_THROW(read_frame(out, offset), std::out_of_range);
+  ByteReader r(out);
+  EXPECT_THROW(r.frame(16), DecodeError);
 }
 
 TEST(Bytes, ConstantTimeEqual) {

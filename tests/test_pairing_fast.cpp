@@ -1,11 +1,13 @@
 // Fast pairing engine tests: the G2Prepared / sparse-line / cyclotomic path
-// must be bit-identical to the retained textbook pairing on every input, and
-// the prepared Groth16 verifier must agree with the unprepared one.
+// must be bit-identical to the textbook pairing oracle (kernel_oracles.h) on
+// every input, and the prepared Groth16 verifier must agree with the
+// unprepared one.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "ec/pairing.h"
+#include "kernel_oracles.h"
 #include "snark/groth16.h"
 
 namespace zl {
@@ -17,7 +19,7 @@ TEST(FastPairing, BitIdenticalToTextbook) {
     const G1 p = G1::generator() * Fr::random(rng);
     const G2 q = G2::generator() * Fr::random(rng);
     const Fq12 fast = pairing(q, p);
-    const Fq12 slow = pairing_textbook(q, p);
+    const Fq12 slow = oracle::pairing_textbook(q, p);
     EXPECT_EQ(fast, slow) << "sample " << i;
   }
 }
@@ -28,7 +30,7 @@ TEST(FastPairing, ProductBitIdenticalToTextbook) {
   for (int i = 0; i < 3; ++i) {
     pairs.emplace_back(G2::generator() * Fr::random(rng), G1::generator() * Fr::random(rng));
   }
-  EXPECT_EQ(pairing_product(pairs), pairing_product_textbook(pairs));
+  EXPECT_EQ(pairing_product(pairs), oracle::pairing_product_textbook(pairs));
   // A cancelling product must still be one through the fast path.
   const G1 p = G1::generator() * 3;
   const G2 q = G2::generator() * 5;
@@ -148,28 +150,6 @@ TEST(PreparedGroth16, AgreesWithUnprepared) {
   const std::vector<Fr> bad_statement = {statement[0] + Fr::one()};
   EXPECT_FALSE(snark::verify(keys.vk, bad_statement, proof));
   EXPECT_FALSE(snark::verify(pvk, bad_statement, proof));
-}
-
-TEST(PreparedGroth16, BatchMatchesUnpreparedBatch) {
-  CubicCircuit c;
-  Rng rng(407);
-  const auto keys = snark::setup(c.cs, rng);
-  const auto pvk = snark::PreparedVerifyingKey::prepare(keys.vk);
-
-  std::vector<snark::BatchVerifyItem> plain;
-  std::vector<snark::PreparedBatchVerifyItem> prepared;
-  for (std::uint64_t x_val = 2; x_val < 6; ++x_val) {
-    const auto z = c.assignment(x_val);
-    const std::vector<Fr> statement(z.begin() + 1, z.begin() + 1 + c.cs.num_inputs);
-    auto proof = snark::prove(keys.pk, c.cs, z, rng);
-    if (x_val == 4) proof.c = proof.c + G1::generator();  // plant one bad entry
-    plain.push_back({keys.vk, statement, proof});
-    prepared.push_back({&pvk, statement, proof});
-  }
-  const auto ok_plain = snark::verify_batch(plain);
-  const auto ok_prepared = snark::verify_batch(prepared);
-  EXPECT_EQ(ok_plain, ok_prepared);
-  EXPECT_EQ(ok_prepared, (std::vector<std::uint8_t>{1, 1, 0, 1}));
 }
 
 }  // namespace

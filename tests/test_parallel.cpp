@@ -254,8 +254,8 @@ TEST(Parallel, SetupProveVerifyBatchBitIdenticalAcrossThreadCounts) {
     set_num_threads(threads);
     EXPECT_TRUE(snark::verify(keys_serial.vk, statement, proof_par));
     const std::vector<std::uint8_t> ok =
-        snark::verify_batch({{keys_serial.vk, statement, proof_serial},
-                             {keys_par.vk, statement, proof_par}});
+        snark::verify_batch({{&keys_serial.vk, statement, proof_serial},
+                             {&keys_par.vk, statement, proof_par}});
     EXPECT_EQ(ok, (std::vector<std::uint8_t>{1, 1}));
   }
 }
@@ -270,7 +270,7 @@ TEST(VerifyBatch, PinpointsTheBadProof) {
   const auto make_item = [&](std::uint64_t x_val) {
     const std::vector<Fr> z = circuit.assignment(x_val);
     const std::vector<Fr> statement(z.begin() + 1, z.begin() + 2);
-    return snark::BatchVerifyItem{keys.vk, statement, snark::prove(keys.pk, circuit.cs, z, rng)};
+    return snark::BatchVerifyItem{&keys.vk, statement, snark::prove(keys.pk, circuit.cs, z, rng)};
   };
   std::vector<snark::BatchVerifyItem> items = {make_item(2), make_item(3), make_item(4)};
 
@@ -284,6 +284,54 @@ TEST(VerifyBatch, PinpointsTheBadProof) {
   items[1] = make_item(3);
   items[0].public_inputs = items[2].public_inputs;
   EXPECT_EQ(snark::verify_batch(items), (std::vector<std::uint8_t>{0, 1, 1}));
+}
+
+TEST(VerifyBatch, MixedKeysGetExactFlagsAtOneAndEightThreads) {
+  // Two circuits' keys, one of them also reached through a byte-equal copy
+  // at another address (the two must share one prepared key), a wrong-arity
+  // statement, a proof checked under the other circuit's key, and one
+  // planted bad proof in each key group. Every flag must equal what a lone
+  // verify() says about that entry, at any thread count.
+  ThreadGuard guard;
+  const ChainCircuit circuit_a(16), circuit_b(24);
+  Rng rng(515);
+  const snark::Keypair keys_a = snark::setup(circuit_a.cs, rng);
+  const snark::Keypair keys_b = snark::setup(circuit_b.cs, rng);
+  const snark::VerifyingKey vk_a_copy = snark::VerifyingKey::from_bytes(keys_a.vk.to_bytes());
+  ASSERT_NE(&vk_a_copy, &keys_a.vk);
+
+  const auto make_item = [&](const ChainCircuit& circuit, const snark::Keypair& keys,
+                             const snark::VerifyingKey* vk, std::uint64_t x_val) {
+    const std::vector<Fr> z = circuit.assignment(x_val);
+    const std::vector<Fr> statement(z.begin() + 1, z.begin() + 2);
+    return snark::BatchVerifyItem{vk, statement, snark::prove(keys.pk, circuit.cs, z, rng)};
+  };
+  std::vector<snark::BatchVerifyItem> items = {
+      make_item(circuit_a, keys_a, &keys_a.vk, 2),   // 0: good
+      make_item(circuit_b, keys_b, &keys_b.vk, 3),   // 1: good
+      make_item(circuit_a, keys_a, &vk_a_copy, 3),   // 2: good, through the copy
+      make_item(circuit_a, keys_a, &vk_a_copy, 4),   // 3: planted bad (group a)
+      make_item(circuit_b, keys_b, &keys_b.vk, 5),   // 4: planted bad (group b)
+      make_item(circuit_a, keys_a, &keys_a.vk, 5),   // 5: wrong arity
+      make_item(circuit_b, keys_b, &keys_b.vk, 4),   // 6: good
+      make_item(circuit_a, keys_a, &keys_b.vk, 6),   // 7: proof under the wrong key
+  };
+  items[3].proof.a = items[3].proof.a + G1::generator();
+  items[4].proof.c = items[4].proof.c + G1::generator();
+  items[5].public_inputs.push_back(Fr::one());
+  const std::vector<std::uint8_t> expected = {1, 1, 1, 0, 0, 0, 1, 0};
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(snark::verify(*items[i].vk, items[i].public_inputs, items[i].proof),
+              expected[i] != 0)
+        << "item " << i;
+  }
+  for (const unsigned threads : {1u, 8u}) {
+    set_num_threads(threads);
+    EXPECT_EQ(snark::verify_batch(items), expected) << "threads=" << threads;
+  }
+
+  // The empty batch has no flags.
+  EXPECT_TRUE(snark::verify_batch({}).empty());
 }
 
 }  // namespace

@@ -77,8 +77,9 @@ TEST(Sha256Gadget, DigestMatchesNative) {
     for (const std::uint32_t v : msg) wires.push_back(word_witness(b, v));
     const std::array<WordWires, 8> digest = sha256_digest_gadget(b, wires);
     ASSERT_TRUE(satisfied(b)) << words << " words";
+    ByteReader native_words(native);
     for (unsigned i = 0; i < 8; ++i) {
-      EXPECT_EQ(word_value(digest[i]), read_u32_be(native, 4 * i)) << "word " << i;
+      EXPECT_EQ(word_value(digest[i]), native_words.u32()) << "word " << i;
     }
   }
 }

@@ -2,7 +2,8 @@
 // setup/prove/verify loop including soundness-flavoured negative cases.
 #include <gtest/gtest.h>
 
-#include "common/kernel_engine.h"
+#include "crypto/keccak.h"
+#include "kernel_oracles.h"
 #include "snark/groth16.h"
 
 namespace zl::snark {
@@ -157,57 +158,42 @@ TEST(Domain, FftMatchesNaiveEvaluation) {
 }
 
 TEST(Domain, FftKernelMatchesTextbookBitExact) {
-  // The blocked FFT evaluates the same butterfly DAG as the textbook loop
-  // over exact arithmetic, so every output word must be identical — across
-  // sizes below, at, and above the cache tile (1024).
+  // The blocked FFT evaluates the same butterfly DAG as the flat-table
+  // textbook loop over exact arithmetic, so every output word must be
+  // identical — across sizes below, at, and above the cache tile (1024).
   Rng rng(68);
   for (const std::size_t n : {4u, 64u, 1024u, 4096u}) {
     EvaluationDomain d(n);
     std::vector<Fr> coeffs;
     for (std::size_t i = 0; i < d.size(); ++i) coeffs.push_back(Fr::random(rng));
-    std::vector<Fr> kernel = coeffs, oracle = coeffs;
+    std::vector<Fr> kernel = coeffs, expect = coeffs;
     d.fft(kernel);
-    {
-      ScopedKernelEngine off(false);
-      d.fft(oracle);
-    }
-    EXPECT_EQ(kernel, oracle) << "fft n=" << n;
+    oracle::fft_textbook(expect, oracle::fft_twiddles(d.omega(), d.size()));
+    EXPECT_EQ(kernel, expect) << "fft n=" << n;
     d.ifft(kernel);
-    {
-      ScopedKernelEngine off(false);
-      d.ifft(oracle);
-    }
-    EXPECT_EQ(kernel, oracle) << "ifft n=" << n;
+    oracle::fft_textbook(expect, oracle::fft_twiddles(d.omega().inverse(), d.size()));
+    const Fr size_inv = Fr::from_u64(d.size()).inverse();
+    for (Fr& e : expect) e *= size_inv;
+    EXPECT_EQ(kernel, expect) << "ifft n=" << n;
     EXPECT_EQ(kernel, coeffs) << "round trip n=" << n;
   }
 }
 
-TEST(Groth16, KernelEngineKeysAndProofBytesIdentical) {
-  // Same setup/prove RNG seeds with the kernel engine on and off: keys and
-  // proofs must serialize to identical bytes (the engines compute identical
-  // group elements, and serialization normalizes to affine).
+TEST(Groth16, SeededKeyAndProofBytesPinned) {
+  // Setup and prove from fixed seeds must keep producing the same key and
+  // proof bytes. The digests are those of the bytes the textbook multiexp,
+  // FFT and vk_x ladder produce for this seed, so the kernels must still
+  // compute exactly the textbook group elements end to end.
   const CubicCircuit circuit;
   const auto z = circuit.assignment(9);
-  Bytes vk_on, vk_off, proof_on, proof_off;
-  {
-    Rng rng(555);
-    const Keypair keys = setup(circuit.cs, rng);
-    const Proof proof = prove(keys.pk, circuit.cs, z, rng);
-    vk_on = keys.vk.to_bytes();
-    proof_on = proof.to_bytes();
-    EXPECT_TRUE(verify(keys.vk, {z[circuit.out]}, proof));
-  }
-  {
-    ScopedKernelEngine off(false);
-    Rng rng(555);
-    const Keypair keys = setup(circuit.cs, rng);
-    const Proof proof = prove(keys.pk, circuit.cs, z, rng);
-    vk_off = keys.vk.to_bytes();
-    proof_off = proof.to_bytes();
-    EXPECT_TRUE(verify(keys.vk, {z[circuit.out]}, proof));
-  }
-  EXPECT_EQ(vk_on, vk_off);
-  EXPECT_EQ(proof_on, proof_off);
+  Rng rng(555);
+  const Keypair keys = setup(circuit.cs, rng);
+  const Proof proof = prove(keys.pk, circuit.cs, z, rng);
+  EXPECT_EQ(to_hex(keccak256(keys.vk.to_bytes())),
+            "37aa2a64bc1cce3133b189c0cb7d7f82bd2c26a20d7cbb8cdcbeeba72d42857e");
+  EXPECT_EQ(to_hex(keccak256(proof.to_bytes())),
+            "df2a2ece05e3971836a340c45f74583ab50fd9245db50ed9fd567bb06d676567");
+  EXPECT_TRUE(verify(keys.vk, {z[circuit.out]}, proof));
 }
 
 TEST(Domain, VanishingPolynomial) {

@@ -40,7 +40,7 @@ class TallyContract : public Contract {
     append_u64_be(out, total_);
     return out;
   }
-  void restore_state(const Bytes& state) override { total_ = read_u64_be(state, 0); }
+  void restore_state(const Bytes& state) override { total_ = ByteReader(state).u64(); }
 
  private:
   std::uint64_t total_ = 0;

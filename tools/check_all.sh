@@ -19,11 +19,12 @@
 #             BENCH_scale.json into the build tree
 #   kernels - the oracle tests pinning the fast arithmetic kernels
 #             (Montgomery squaring, GLV + batch-affine multiexp, the joint
-#             wNAF kernel and the ECDSA built on it, blocked FFT) against
-#             their textbook twins: once under ASan, once in the ZL_CT_CHECK
-#             taint build (which adds the GLV / wNAF secret-scalar guard
-#             deaths, the clean blinded signing path and mont_sqr taint
-#             propagation)
+#             wNAF kernel and the ECDSA built on it, blocked FFT, the fast
+#             pairing) against their textbook twins in tests/, plus the
+#             seeded Groth16 key/proof byte digests: once under ASan, once
+#             in the ZL_CT_CHECK taint build (which adds the GLV / wNAF
+#             secret-scalar guard deaths, the clean blinded signing path and
+#             mont_sqr taint propagation)
 #   obs     - the observability gate (DESIGN.md §14): builds a -DZL_OBS=OFF
 #             tree and the normal ON tree, runs test_obs in both (the OFF
 #             run pins the macro compile-out contract), runs test_obs under
@@ -100,21 +101,23 @@ run_store() {
     -R '^(FaultVfs|Wal|SnapshotStore|OffChainStore|DurableChain|Torture|Blockchain)\.' "$@"
 }
 
-# Kernel-engine leg: builds only the four test binaries that carry the
-# kernel-vs-oracle pins and runs them twice — an ASan pass (memory bugs in
-# the batch-affine scheduler / FFT tiling) and a ZL_CT_CHECK pass (taint
-# follows mont_sqr; GLV refuses secret scalars). Reuses the asan/ctcheck
-# build trees, so a later full leg picks up the already-built objects.
+# Kernel leg: builds the test-only oracle target (tests/kernel_oracles.h,
+# tests/ecdsa_oracle.h) and the test binaries that carry the kernel-vs-oracle
+# pins, and runs them twice — an ASan pass (memory bugs in the batch-affine
+# scheduler / FFT tiling) and a ZL_CT_CHECK pass (taint follows mont_sqr;
+# GLV refuses secret scalars). Reuses the asan/ctcheck build trees, so a
+# later full leg picks up the already-built objects.
 run_kernels() {
-  kernel_filter='^(Fp\.MontSqr|Fp\.PortableOracles|Glv\.|Wnaf\.|Ecdsa\.|Multiexp\.|Domain\.FftKernel|Groth16\.KernelEngine|CtDeathTest\.|CtClean\.EcdsaGenerateSignVerify|CtCheckBuild\.)'
+  kernel_filter='^(Fp\.MontSqr|Fp\.PortableOracles|Glv\.|Wnaf\.|Ecdsa\.|Multiexp\.|Domain\.FftKernel|Groth16\.SeededKeyAndProofBytesPinned|FastPairing\.|CtDeathTest\.|CtClean\.EcdsaGenerateSignVerify|CtCheckBuild\.)'
+  kernel_targets="zl_oracles test_field test_ec test_snark test_pairing_fast test_ct test_pkc"
   build_dir="$repo_root/build-asan"
   cmake -S "$repo_root" -B "$build_dir" -G Ninja -DCMAKE_BUILD_TYPE=Release -DZL_SANITIZE=address
-  cmake --build "$build_dir" --target test_field test_ec test_snark test_ct test_pkc
+  cmake --build "$build_dir" --target $kernel_targets
   ASAN_OPTIONS="detect_leaks=1:halt_on_error=1:abort_on_error=1" \
     ctest --test-dir "$build_dir" --output-on-failure -R "$kernel_filter" "$@"
   build_dir="$repo_root/build-ctcheck"
   cmake -S "$repo_root" -B "$build_dir" -G Ninja -DCMAKE_BUILD_TYPE=Release -DZL_CT_CHECK=ON
-  cmake --build "$build_dir" --target test_field test_ec test_snark test_ct test_pkc
+  cmake --build "$build_dir" --target $kernel_targets
   ctest --test-dir "$build_dir" --output-on-failure -R "$kernel_filter" "$@"
 }
 
