@@ -7,6 +7,9 @@
 //   - secp256k1 ECDSA: sign (blinded fixed-base walk) and verify (one joint
 //     GLV-wNAF pass) against the textbook double-and-add verify kept in
 //     tests/ecdsa_oracle.h (us/op),
+//   - Groth16 on the CPL-AA circuit: k proofs checked one at a time against
+//     a prepared key vs. one snark::verify_batch call, k = 1, 8, 64
+//     (ms/proof; the batch prepares its key on every call),
 //   - G1 multiexp at n = 2^10..2^16: textbook Pippenger oracle vs. the
 //     batch-affine signed-digit kernel (us/point),
 //   - radix-2 FFT at n = 2^10..2^16: flat-table textbook oracle vs. the
@@ -24,9 +27,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "auth/cpl_auth.h"
 #include "common/thread_pool.h"
 #include "crypto/ecdsa.h"
 #include "ec/bn254_groups.h"
@@ -147,6 +153,73 @@ int main() {
   std::printf("ECDSA sign   %7.1f us/op\n", ecdsa_sign_us);
   std::printf("ECDSA verify %7.1f us/op   (oracle %.1f us, %.2fx speedup)\n", ecdsa_verify_us,
               ecdsa_oracle_verify_us, ecdsa_oracle_verify_us / ecdsa_verify_us);
+
+  // --- Groth16: one prepared verify vs. the batch, on the auth circuit --
+  // The CPL-AA circuit at the lifecycle workload's registry depth. The
+  // proofs are made on every hardware thread (distinct messages, so
+  // distinct statements); the timing runs on one.
+  constexpr std::size_t kBatchSizes[] = {1, 8, 64};
+  constexpr std::size_t kMaxBatch = 64;
+  double groth16_verify_ms = 0;
+  std::vector<std::pair<std::size_t, double>> batch_rows;  // (k, ms per proof)
+  {
+    std::fprintf(stderr, "[kernels] proving %zu CPL-AA attestations...\n", kMaxBatch);
+    const unsigned depth = 8;
+    const auth::AuthParams params = auth::auth_setup(depth, rng);
+    auth::RegistrationAuthority ra(depth);
+    const auth::UserKey user = auth::UserKey::generate(rng);
+    const auth::Certificate cert = ra.register_identity("bench-user", user.pk);
+    const Fr root = ra.registry_root();
+    const Bytes prefix = to_bytes("bench-task-address");
+    std::vector<snark::BatchVerifyItem> items(kMaxBatch);
+    set_num_threads(std::max(1u, std::thread::hardware_concurrency()));
+    parallel_for(
+        kMaxBatch,
+        [&](std::size_t i) {
+          Rng item_rng(7000 + i);
+          const Bytes rest = to_bytes("bench-worker-" + std::to_string(i));
+          const auth::Attestation att =
+              auth::authenticate(params, prefix, rest, user, cert, root, item_rng);
+          items[i] = {&params.keys.vk, auth::auth_statement(prefix, rest, root, att), att.proof};
+        },
+        /*min_grain=*/1);
+    set_num_threads(1);
+
+    // Rounds alternate checking the first k proofs one at a time against a
+    // prepared key and in one verify_batch call, so host noise lands on
+    // both sides alike; each row is the median over rounds.
+    const snark::PreparedVerifyingKey pvk = snark::PreparedVerifyingKey::prepare(params.keys.vk);
+    bool all_ok = true;
+    std::printf("\nGroth16 verify, auth circuit (ms/proof)\n%8s %12s %12s %9s\n", "k",
+                "one-by-one", "batch", "gain");
+    for (const std::size_t k : kBatchSizes) {
+      const std::vector<snark::BatchVerifyItem> batch(items.begin(),
+                                                      items.begin() + static_cast<long>(k));
+      std::vector<double> single_ms, batch_ms;
+      for (int round = 0; round < 9; ++round) {
+        single_ms.push_back(median_seconds(1, [&] {
+          for (const snark::BatchVerifyItem& item : batch) {
+            all_ok &= snark::verify(pvk, item.public_inputs, item.proof);
+          }
+        }) * 1e3 / static_cast<double>(k));
+        batch_ms.push_back(median_seconds(1, [&] {
+          const std::vector<std::uint8_t> ok = snark::verify_batch(batch);
+          all_ok &= std::count(ok.begin(), ok.end(), 1) == static_cast<long>(k);
+        }) * 1e3 / static_cast<double>(k));
+      }
+      std::sort(single_ms.begin(), single_ms.end());
+      std::sort(batch_ms.begin(), batch_ms.end());
+      const double single = single_ms[single_ms.size() / 2];
+      const double per_proof = batch_ms[batch_ms.size() / 2];
+      if (k == kMaxBatch) groth16_verify_ms = single;
+      batch_rows.emplace_back(k, per_proof);
+      std::printf("%8zu %12.3f %12.3f %8.2fx\n", k, single, per_proof, single / per_proof);
+    }
+    if (!all_ok) {
+      std::fprintf(stderr, "FATAL: Groth16 verification rejected a fresh proof\n");
+      return 1;
+    }
+  }
 
   // --- G1 multiexp: textbook Pippenger vs. batch-affine kernel ----------
   struct MultiexpRow {
@@ -303,6 +376,13 @@ int main() {
                "  \"ecdsa_oracle_verify_us\": %.2f,\n  \"ecdsa_verify_speedup\": %.3f,\n",
                ecdsa_verify_us, ecdsa_sign_us, ecdsa_oracle_verify_us,
                ecdsa_oracle_verify_us / ecdsa_verify_us);
+  std::fprintf(json, "  \"groth16_verify_ms\": %.3f,\n", groth16_verify_ms);
+  std::fprintf(json, "  \"groth16_batch_verify_ms_per_proof\": [\n");
+  for (std::size_t i = 0; i < batch_rows.size(); ++i) {
+    std::fprintf(json, "    {\"k\": %zu, \"ms\": %.3f}%s\n", batch_rows[i].first,
+                 batch_rows[i].second, i + 1 < batch_rows.size() ? "," : "");
+  }
+  std::fprintf(json, "  ],\n");
   std::fprintf(json, "  \"g1_multiexp_us_per_point\": [\n");
   for (std::size_t i = 0; i < multiexp_rows.size(); ++i) {
     const MultiexpRow& r = multiexp_rows[i];

@@ -61,6 +61,51 @@ Fq12 final_exponentiation_easy(const Fq12& f) {
   return f1.frobenius_power(2) * f1;            // ^(q^2 + 1)
 }
 
+/// The bits of the ate loop count below its top bit, most significant
+/// first: one Miller step each, with an addition step where the bit is set.
+const std::vector<bool>& miller_steps() {
+  static const std::vector<bool> steps = [] {
+    const BigInt& s = bn254_ate_loop_count();
+    const std::size_t bits = mpz_sizeinbase(s.get_mpz_t(), 2);
+    std::vector<bool> out;
+    for (std::size_t i = bits - 1; i-- > 0;) out.push_back(mpz_tstbit(s.get_mpz_t(), i) != 0);
+    return out;
+  }();
+  return steps;
+}
+
+/// Multi-Miller loop over n finite pairs (qs[k], ps[k]): one accumulator,
+/// squared once per step for all pairs, with each pair's precomputed line
+/// folded in by a sparse product. Every schedule has the same shape, so one
+/// line index walks all of them in step.
+Fq12 multi_miller_loop(const G2Prepared* const* qs, const G1::Affine* ps, std::size_t n) {
+  Fq12 f = Fq12::one();
+  std::size_t idx = 0;
+  const auto fold_lines = [&] {
+    for (std::size_t k = 0; k < n; ++k) {
+      const LineCoefficients& l = qs[k]->coefficients()[idx];
+      f = f.mul_by_034(l.ell_vw.scalar_mul(ps[k].y), l.ell_vv.scalar_mul(ps[k].x), l.ell_0);
+    }
+    ++idx;
+  };
+  for (const bool add : miller_steps()) {
+    if (idx > 0) f = f.squared();  // the first square is of one
+    fold_lines();
+    if (add) fold_lines();
+  }
+  return f;
+}
+
+/// Frobenius twist constants: psi(x, y) = (conj(x) gx, conj(y) gy) with
+/// gx = xi^((q-1)/3), gy = xi^((q-1)/2), from the untwist (x w^2, y w^3).
+const std::pair<Fq2, Fq2>& psi_constants() {
+  static const std::pair<Fq2, Fq2> c = [] {
+    const BigInt& q = Fq::modulus_bigint();
+    return std::make_pair(Fq2::xi().pow((q - 1) / 3), Fq2::xi().pow((q - 1) / 2));
+  }();
+  return c;
+}
+
 }  // namespace
 
 G2Prepared::G2Prepared(const G2& q) {
@@ -70,40 +115,27 @@ G2Prepared::G2Prepared(const G2& q) {
   Fq2 x = qx, y = qy, z = Fq2::one();
   const Fq2 twist_b = Bn254G2Params::b();
 
-  const BigInt& s = bn254_ate_loop_count();
-  const std::size_t bits = mpz_sizeinbase(s.get_mpz_t(), 2);
   // One line per doubling plus one per set bit; the classic ate loop count
   // 6x^2 < r guarantees no degenerate (vertical) steps on a prime-order Q.
-  coeffs_.reserve(2 * bits);
-  for (std::size_t i = bits - 1; i-- > 0;) {
+  coeffs_.reserve(2 * miller_steps().size());
+  for (const bool add : miller_steps()) {
     coeffs_.push_back(doubling_step(x, y, z, twist_b));
-    if (mpz_tstbit(s.get_mpz_t(), i)) {
-      coeffs_.push_back(addition_step(x, y, z, qx, qy));
-    }
+    if (add) coeffs_.push_back(addition_step(x, y, z, qx, qy));
   }
+  // The running point is now [6x^2]Q in homogeneous coordinates, unless an
+  // addition step met +-Q, which leaves Z = 0. No G2 point can (its
+  // multiples below r never meet +-Q), so Z = 0 means "not in G2".
+  const auto& [gx, gy] = psi_constants();
+  in_g2_ = !z.is_zero() && x == qx.conjugate() * gx * z && y == qy.conjugate() * gy * z;
 }
 
 Fq12 miller_loop(const G2Prepared& q, const G1& p) {
   if (q.is_infinity() || p.is_infinity()) {
     throw std::invalid_argument("miller_loop: inputs must be finite points");
   }
-  const auto [px, py] = p.to_affine();
-  const std::vector<LineCoefficients>& coeffs = q.coefficients();
-
-  const BigInt& s = bn254_ate_loop_count();
-  const std::size_t bits = mpz_sizeinbase(s.get_mpz_t(), 2);
-
-  Fq12 f = Fq12::one();
-  std::size_t idx = 0;
-  for (std::size_t i = bits - 1; i-- > 0;) {
-    const LineCoefficients& dbl = coeffs[idx++];
-    f = f.squared().mul_by_034(dbl.ell_vw.scalar_mul(py), dbl.ell_vv.scalar_mul(px), dbl.ell_0);
-    if (mpz_tstbit(s.get_mpz_t(), i)) {
-      const LineCoefficients& add = coeffs[idx++];
-      f = f.mul_by_034(add.ell_vw.scalar_mul(py), add.ell_vv.scalar_mul(px), add.ell_0);
-    }
-  }
-  return f;
+  const G2Prepared* const qp = &q;
+  const G1::Affine pa = p.to_affine_checked();
+  return multi_miller_loop(&qp, &pa, 1);
 }
 
 Fq12 miller_loop(const G2& q, const G1& p) { return miller_loop(G2Prepared(q), p); }
@@ -153,35 +185,52 @@ Fq12 pairing(const G2& q, const G1& p) {
 }
 
 Fq12 pairing_product(const std::vector<std::pair<G2, G1>>& pairs) {
-  // The Miller loops are independent; run them on the thread pool and
-  // multiply the results in input order (Fq12 multiplication is exact and
-  // commutative, so any schedule yields the identical product anyway).
-  std::vector<const std::pair<G2, G1>*> finite;
-  finite.reserve(pairs.size());
-  for (const auto& pr : pairs) {
-    if (pr.first.is_infinity() || pr.second.is_infinity()) continue;
-    finite.push_back(&pr);
+  std::vector<G2Prepared> prepared(pairs.size());
+  parallel_for(
+      pairs.size(), [&](std::size_t i) { prepared[i] = G2Prepared(pairs[i].first); },
+      /*min_grain=*/1);
+  std::vector<std::pair<const G2Prepared*, G1>> prepared_pairs;
+  prepared_pairs.reserve(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    prepared_pairs.emplace_back(&prepared[i], pairs[i].second);
   }
-  const std::vector<Fq12> loops = parallel_map<Fq12>(finite.size(), [&](std::size_t i) {
-    return miller_loop(G2Prepared(finite[i]->first), finite[i]->second);
-  });
-  Fq12 acc = Fq12::one();
-  for (const Fq12& f : loops) acc *= f;
-  return final_exponentiation(acc);
+  return pairing_product(prepared_pairs);
 }
 
 Fq12 pairing_product(const std::vector<std::pair<const G2Prepared*, G1>>& pairs) {
-  std::vector<const std::pair<const G2Prepared*, G1>*> finite;
-  finite.reserve(pairs.size());
-  for (const auto& pr : pairs) {
-    if (pr.first->is_infinity() || pr.second.is_infinity()) continue;
-    finite.push_back(&pr);
+  std::vector<const G2Prepared*> qs;
+  std::vector<G1> ps;
+  qs.reserve(pairs.size());
+  ps.reserve(pairs.size());
+  for (const auto& [q, p] : pairs) {
+    if (q->is_infinity() || p.is_infinity()) continue;
+    qs.push_back(q);
+    ps.push_back(p);
   }
-  const std::vector<Fq12> loops = parallel_map<Fq12>(
-      finite.size(), [&](std::size_t i) { return miller_loop(*finite[i]->first, finite[i]->second); });
-  Fq12 acc = Fq12::one();
-  for (const Fq12& f : loops) acc *= f;
+  if (qs.empty()) return Fq12::one();
+  const std::vector<G1::Affine> affine = G1::normalize(ps);  // one shared inversion
+  // Each slice pays its own squaring chain (about one pair's worth of line
+  // products), so a slice takes at least kMinPairsPerSlice pairs, and a call
+  // nested in a parallel region stays one slice.
+  constexpr std::size_t kMinPairsPerSlice = 4;
+  std::size_t slices = qs.size() / kMinPairsPerSlice;
+  if (slices > num_threads()) slices = num_threads();
+  if (slices < 1 || detail::in_parallel_region()) slices = 1;
+  std::vector<Fq12> partial(slices, Fq12::one());
+  ThreadPool::instance().run(slices, [&](std::size_t c) {
+    const auto [begin, end] = chunk_range(qs.size(), slices, c);
+    partial[c] = multi_miller_loop(qs.data() + begin, affine.data() + begin, end - begin);
+  });
+  Fq12 acc = partial[0];
+  for (std::size_t c = 1; c < slices; ++c) acc *= partial[c];
   return final_exponentiation(acc);
+}
+
+G2 g2_psi(const G2& q) {
+  const auto& [gx, gy] = psi_constants();
+  return G2::from_jacobian_unchecked(q.jacobian_x().conjugate() * gx,
+                                     q.jacobian_y().conjugate() * gy,
+                                     q.jacobian_z().conjugate());
 }
 
 }  // namespace zl

@@ -56,8 +56,20 @@ class G2Prepared {
   bool is_infinity() const { return infinity_; }
   const std::vector<LineCoefficients>& coefficients() const { return coeffs_; }
 
+  /// Whether the point lies in G2, the order-r subgroup of the twist
+  /// (EIP-197 requires the check; the random-linear-combination batch in
+  /// snark::verify_batch relies on it). Read off the schedule at no extra
+  /// cost: its running point ends at [6x^2]Q, compared with g2_psi(Q). That
+  /// test is exact: psi satisfies psi^2 - t psi + q = 0 (t = 6x^2 + 1), so
+  /// psi - [6x^2] has degree (6x^2)^2 - t 6x^2 + q = q + 1 - t = r; its
+  /// kernel has at most r points and contains G2 (psi acts there as
+  /// q = 6x^2 mod r), so it is G2. Pinned against in_prime_subgroup() by
+  /// tests/test_pairing_fast.cpp. The point at infinity is in G2.
+  bool in_g2() const { return in_g2_; }
+
  private:
   bool infinity_ = true;
+  bool in_g2_ = true;
   std::vector<LineCoefficients> coeffs_;
 };
 
@@ -79,14 +91,25 @@ Fq12 final_exponentiation(const Fq12& f);
 Fq12 pairing(const G2& q, const G1& p);
 Fq12 pairing(const G2Prepared& q, const G1& p);
 
-/// Product of pairings: prod_i e(Q_i, P_i), sharing one final
-/// exponentiation. This is what the Groth16 verifier calls.
+/// Product of pairings: prod_i e(Q_i, P_i), as one multi-Miller loop and one
+/// final exponentiation. This is what the Groth16 verifier calls.
 Fq12 pairing_product(const std::vector<std::pair<G2, G1>>& pairs);
 
-/// Prepared overload: the batch-audit path prepares each distinct G2 once
-/// and shares the tables across every product in the batch. Pointers must be
-/// non-null and outlive the call; infinity entries (on either side)
-/// contribute the factor one, matching the unprepared overload.
+/// Prepared overload, and the one pairing-product path: the unprepared one
+/// prepares its G2 points and lands here. Pointers must be non-null and
+/// outlive the call; infinity entries (on either side) contribute the factor
+/// one. The finite pairs share one Fq12 accumulator, squared once per Miller
+/// step for all of them; on the thread pool each slice of pairs keeps its own
+/// partial accumulator, and the partials are multiplied before the single
+/// final exponentiation (Fq12 arithmetic is exact, so the slicing is
+/// invisible in the result).
 Fq12 pairing_product(const std::vector<std::pair<const G2Prepared*, G1>>& pairs);
+
+/// The untwist-Frobenius-twist endomorphism psi of the twist curve (the
+/// G2 test of G2Prepared::in_g2 rests on it; tests pin its equation):
+/// psi(x, y) = (conj(x) xi^((q-1)/3), conj(y) xi^((q-1)/2)). It satisfies
+/// psi^2 - t psi + q = 0 (t = 6x^2 + 1, the trace of Frobenius), and on G2
+/// it acts as multiplication by q = 6x^2 (mod r).
+G2 g2_psi(const G2& q);
 
 }  // namespace zl

@@ -148,6 +148,11 @@ class Fp {
   /// Bit length of the modulus (254 for both BN254 fields) — the number of
   /// scalar bits a windowed multiexp actually has to cover.
   static constexpr unsigned kModulusBits = detail::limbs_bit_length(Params::kModulus);
+  /// p - 2, the Fermat inversion exponent.
+  static constexpr Limbs kModulusMinus2 = [] {
+    bool borrow = false;
+    return detail::limbs_sub(Params::kModulus, Limbs{2, 0, 0, 0}, borrow);
+  }();
 
   constexpr Fp() : limbs_{0, 0, 0, 0} {}
 
@@ -352,10 +357,24 @@ class Fp {
     return acc;
   }
 
-  /// Multiplicative inverse via Fermat (p prime). Throws on zero.
+  /// Multiplicative inverse via Fermat (p prime): x^(p-2) as a fixed 4-bit
+  /// window power over the compile-time limbs of p - 2. The exponent is
+  /// public, so the window digits (table indices) are too. Throws on zero.
   Fp inverse() const {
     if (is_zero()) throw std::domain_error("Fp::inverse: zero");
-    return pow(modulus_bigint() - 2);
+    std::array<Fp, 16> table;
+    table[0] = one();
+    for (std::size_t i = 1; i < table.size(); ++i) table[i] = table[i - 1] * *this;
+    const auto digit = [](unsigned pos) {
+      return static_cast<std::size_t>((kModulusMinus2[pos / 64] >> (pos % 64)) & 15);
+    };
+    Fp acc = table[digit(252)];
+    for (unsigned pos = 252; pos > 0;) {
+      pos -= 4;
+      acc = acc.squared().squared().squared().squared();
+      if (const std::size_t d = digit(pos); d != 0) acc *= table[d];
+    }
+    return acc;
   }
 
   /// Raw Montgomery limbs (for hashing/serialization-free comparisons).

@@ -43,11 +43,18 @@ class Fq12 {
 
   Fq12& operator*=(const Fq12& r) { return *this = *this * r; }
 
-  Fq12 squared() const { return *this * *this; }
+  /// Complex squaring over Fq6: with t = a0 a1,
+  ///   (a0 + a1 w)^2 = ((a0 + a1)(a0 + v a1) - t - v t) + 2t w,
+  /// two Fq6 products instead of the three of a general product. Tests pin
+  /// it bit-equal to *this * *this.
+  Fq12 squared() const {
+    const Fq6 t = a0 * a1;
+    return Fq12((a0 + a1) * (a0 + a1.mul_by_v()) - t - t.mul_by_v(), t + t);
+  }
 
   /// Sparse multiplication by g = c0 + (c3 + c4*v)*w, the shape of a
   /// Miller-loop line in the w-basis (non-zero coefficients d0, d1, d3).
-  /// ~15 Fq2 multiplications instead of the 27 of a full product.
+  /// 13 Fq2 multiplications instead of the 18 of a full product.
   Fq12 mul_by_034(const Fq2& c0, const Fq2& c3, const Fq2& c4) const {
     const Fq6 va = a0.scalar_mul(c0);               // f0 * g0
     const Fq6 vb = a1.mul_by_01(c3, c4);            // f1 * g1

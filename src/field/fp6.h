@@ -28,13 +28,14 @@ class Fq6 {
   Fq6 operator-() const { return Fq6(-c0, -c1, -c2); }
 
   Fq6 operator*(const Fq6& r) const {
-    // Schoolbook with xi-reduction of v^3 and v^4 terms.
+    // Karatsuba: 6 Fq2 multiplications instead of the schoolbook 9, with
+    // xi-reduction of the v^3 and v^4 terms.
     const Fq2 a0b0 = c0 * r.c0;
     const Fq2 a1b1 = c1 * r.c1;
     const Fq2 a2b2 = c2 * r.c2;
-    const Fq2 t0 = a0b0 + (c1 * r.c2 + c2 * r.c1).mul_by_xi();
-    const Fq2 t1 = c0 * r.c1 + c1 * r.c0 + a2b2.mul_by_xi();
-    const Fq2 t2 = c0 * r.c2 + a1b1 + c2 * r.c0;
+    const Fq2 t0 = a0b0 + ((c1 + c2) * (r.c1 + r.c2) - a1b1 - a2b2).mul_by_xi();
+    const Fq2 t1 = (c0 + c1) * (r.c0 + r.c1) - a0b0 - a1b1 + a2b2.mul_by_xi();
+    const Fq2 t2 = (c0 + c2) * (r.c0 + r.c2) - a0b0 - a2b2 + a1b1;
     return Fq6(t0, t1, t2);
   }
 
@@ -50,10 +51,13 @@ class Fq6 {
   Fq6 mul_by_v() const { return Fq6(c2.mul_by_xi(), c0, c1); }
 
   /// Sparse multiplication by b0 + b1*v (c2 of the operand is zero) — the
-  /// shape of a Miller-loop line's odd coefficients. 6 Fq2 multiplications
-  /// instead of the 9 of a full product.
+  /// shape of a Miller-loop line's odd coefficients. Karatsuba on the
+  /// (c0, c1) block: 5 Fq2 multiplications instead of the 6 of a full one.
   Fq6 mul_by_01(const Fq2& b0, const Fq2& b1) const {
-    return Fq6(c0 * b0 + (c2 * b1).mul_by_xi(), c1 * b0 + c0 * b1, c2 * b0 + c1 * b1);
+    const Fq2 a0b0 = c0 * b0;
+    const Fq2 a1b1 = c1 * b1;
+    return Fq6(a0b0 + (c2 * b1).mul_by_xi(), (c0 + c1) * (b0 + b1) - a0b0 - a1b1,
+               c2 * b0 + a1b1);
   }
 
   Fq6 inverse() const {

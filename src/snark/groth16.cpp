@@ -1,10 +1,12 @@
 #include "snark/groth16.h"
 
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "common/thread_pool.h"
+#include "crypto/rng.h"
 #include "ec/glv.h"
 #include "ec/multiexp.h"
 #include "ec/serialize.h"
@@ -232,42 +234,82 @@ Proof prove(const ProvingKey& pk, const ConstraintSystem& cs, const std::vector<
   return proof;
 }
 
-PreparedVerifyingKey PreparedVerifyingKey::prepare(const VerifyingKey& vk) {
-  PreparedVerifyingKey pvk;
-  pvk.beta_g2 = G2Prepared(vk.beta_g2);
-  pvk.gamma_g2 = G2Prepared(vk.gamma_g2);
-  pvk.delta_g2 = G2Prepared(vk.delta_g2);
-  pvk.alpha_beta = pairing(pvk.beta_g2, vk.alpha_g1);  // shares the beta schedule
-  pvk.ic = vk.ic;
-  return pvk;
+namespace {
+
+/// Prepares every key: e(alpha, beta) and the gamma and delta schedules of
+/// each are three independent tasks on the thread pool, so even a lone key
+/// keeps three threads busy.
+std::vector<PreparedVerifyingKey> prepare_keys(const std::vector<const VerifyingKey*>& keys) {
+  std::vector<PreparedVerifyingKey> out(keys.size());
+  parallel_for(
+      3 * keys.size(),
+      [&](std::size_t t) {
+        const VerifyingKey& vk = *keys[t / 3];
+        PreparedVerifyingKey& pvk = out[t / 3];
+        if (t % 3 == 0) {
+          pvk.alpha_beta = pairing(G2Prepared(vk.beta_g2), vk.alpha_g1);
+        } else if (t % 3 == 1) {
+          pvk.gamma_g2 = G2Prepared(vk.gamma_g2);
+        } else {
+          pvk.delta_g2 = G2Prepared(vk.delta_g2);
+          pvk.ic = vk.ic;
+        }
+      },
+      /*min_grain=*/1);
+  return out;
 }
 
-bool verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs,
-            const Proof& proof) {
-  ZL_TRACE_SPAN("prover.verify");
-  if (public_inputs.size() + 1 != pvk.ic.size()) {
-    ZL_OBS_COUNTER_ADD("prover.verify.fail", 1);
-    return false;
+/// The checks a proof must pass before any pairing: input arity, all three
+/// points on their curves, and B in G2 (read off B's schedule, so B is
+/// prepared here). Batch folding needs the last one: moving r_i onto A_i
+/// relies on linearity in the G1 argument, which holds only for B in G2.
+/// Returns B's schedule, or nullopt for an inadmissible proof.
+std::optional<G2Prepared> admit(const PreparedVerifyingKey& pvk,
+                                const std::vector<Fr>& public_inputs, const Proof& proof) {
+  if (public_inputs.size() + 1 != pvk.ic.size() || !proof.a.is_on_curve() ||
+      !proof.b.is_on_curve() || !proof.c.is_on_curve()) {
+    return std::nullopt;
   }
-  if (!proof.a.is_on_curve() || !proof.b.is_on_curve() || !proof.c.is_on_curve()) {
-    ZL_OBS_COUNTER_ADD("prover.verify.fail", 1);
-    return false;
-  }
+  G2Prepared b_prepared(proof.b);
+  if (!b_prepared.in_g2()) return std::nullopt;
+  return b_prepared;
+}
 
+/// The Groth16 equation for one admitted proof whose B is already prepared:
+/// e(B, -A) e(gamma, vk_x) e(delta, C) == e(alpha, beta)^-1, one three-pair
+/// multi-Miller loop and one final exponentiation.
+bool pairing_check(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs,
+                   const Proof& proof, const G2Prepared& b_prepared) {
   G1 vk_x = pvk.ic[0];
   for (std::size_t i = 0; i < public_inputs.size(); ++i) {
     // Public inputs are public by definition, so the variable-time GLV split
     // is safe here.
     vk_x += glv_mul(pvk.ic[i + 1], public_inputs[i]);
   }
+  return pairing_product({{&b_prepared, -proof.a},
+                          {&pvk.gamma_g2, vk_x},
+                          {&pvk.delta_g2, proof.c}}) == pvk.alpha_beta.conjugate();
+}
 
-  // e(A, B) == e(alpha, beta) e(vk_x, gamma) e(C, delta), with e(alpha,
-  // beta) precomputed: 3 Miller loops + 1 final exponentiation.
-  // e(B, -A) e(gamma, vk_x) e(delta, C) == e(alpha, beta)^-1 ... rearranged:
-  const G2Prepared b_prepared(proof.b);
-  const bool ok = pairing_product({{&b_prepared, -proof.a},
-                                   {&pvk.gamma_g2, vk_x},
-                                   {&pvk.delta_g2, proof.c}}) == pvk.alpha_beta.conjugate();
+/// A uniform nonzero weight below 2^128.
+Fr random_weight(Rng& rng) {
+  for (;;) {
+    const Fr w = Fr::from_bytes_mod(rng.bytes(16));
+    if (!w.is_zero()) return w;
+  }
+}
+
+}  // namespace
+
+PreparedVerifyingKey PreparedVerifyingKey::prepare(const VerifyingKey& vk) {
+  return std::move(prepare_keys({&vk})[0]);
+}
+
+bool verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs,
+            const Proof& proof) {
+  ZL_TRACE_SPAN("prover.verify");
+  const std::optional<G2Prepared> b_prepared = admit(pvk, public_inputs, proof);
+  const bool ok = b_prepared && pairing_check(pvk, public_inputs, proof, *b_prepared);
   if (ok) {
     ZL_OBS_COUNTER_ADD("prover.verify.ok", 1);
   } else {
@@ -281,6 +323,7 @@ bool verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs, const 
 }
 
 std::vector<std::uint8_t> verify_batch(const std::vector<BatchVerifyItem>& items) {
+  ZL_TRACE_SPAN("prover.verify_batch");
   // Group the entries by key bytes, in first-appearance order, so each
   // distinct key is prepared once however many objects carry it.
   std::vector<Bytes> key_bytes =
@@ -293,15 +336,83 @@ std::vector<std::uint8_t> verify_batch(const std::vector<BatchVerifyItem>& items
     if (fresh) distinct.push_back(items[i].vk);
     item_key[i] = it->second;
   }
-  const std::vector<PreparedVerifyingKey> prepared = parallel_map<PreparedVerifyingKey>(
-      distinct.size(), [&](std::size_t k) { return PreparedVerifyingKey::prepare(*distinct[k]); });
+  const std::vector<PreparedVerifyingKey> prepared = prepare_keys(distinct);
+
+  // Weights come from the caller's thread: Rng::system() is per thread.
+  std::vector<Fr> weight(items.size());
+  Rng& rng = Rng::system();
+  for (Fr& w : weight) w = random_weight(rng);
+
+  // Admission and the per-entry pairing inputs: B_i prepared, -r_i A_i.
   // std::vector<std::uint8_t> (not <bool>) so parallel writes hit disjoint
-  // bytes. Nested parallelism inside verify() degrades to serial per item.
-  std::vector<std::uint8_t> ok(items.size(), 0);
+  // bytes.
+  std::vector<std::uint8_t> admitted(items.size(), 0);
+  std::vector<G2Prepared> b_prepared(items.size());
+  std::vector<G1> weighted_a(items.size());
   parallel_for(
       items.size(),
       [&](std::size_t i) {
-        ok[i] = verify(prepared[item_key[i]], items[i].public_inputs, items[i].proof) ? 1 : 0;
+        std::optional<G2Prepared> b = admit(prepared[item_key[i]], items[i].public_inputs,
+                                            items[i].proof);
+        if (!b) return;
+        admitted[i] = 1;
+        b_prepared[i] = std::move(*b);
+        weighted_a[i] = -(items[i].proof.a * weight[i]);
+      },
+      /*min_grain=*/1);
+
+  // Per key: sum r_i vk_x_i as one multi-scalar sum over ic (the weight of
+  // ic[j + 1] is sum r_i x_ij), sum r_i C_i, and e(alpha, beta)^(sum r_i),
+  // the exponent summed over the integers (e(alpha, beta) has order r).
+  struct KeySums {
+    std::vector<Fr> ic_weights;
+    std::vector<G1> cs;
+    std::vector<Fr> c_weights;
+    BigInt weight_sum = 0;
+  };
+  std::vector<KeySums> sums(prepared.size());
+  std::vector<std::pair<const G2Prepared*, G1>> prepared_pairs;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (!admitted[i]) continue;
+    KeySums& s = sums[item_key[i]];
+    if (s.ic_weights.empty()) s.ic_weights.assign(prepared[item_key[i]].ic.size(), Fr::zero());
+    s.ic_weights[0] += weight[i];
+    for (std::size_t j = 0; j < items[i].public_inputs.size(); ++j) {
+      s.ic_weights[j + 1] += weight[i] * items[i].public_inputs[j];
+    }
+    s.cs.push_back(items[i].proof.c);
+    s.c_weights.push_back(weight[i]);
+    s.weight_sum += weight[i].to_bigint();
+    prepared_pairs.emplace_back(&b_prepared[i], weighted_a[i]);
+  }
+  std::vector<std::uint8_t> ok(items.size(), 0);
+  if (prepared_pairs.empty()) return ok;
+  Fq12 alpha_beta_power = Fq12::one();
+  for (std::size_t k = 0; k < prepared.size(); ++k) {
+    const KeySums& s = sums[k];
+    if (s.cs.empty()) continue;
+    prepared_pairs.emplace_back(&prepared[k].gamma_g2, multiexp(prepared[k].ic, s.ic_weights));
+    prepared_pairs.emplace_back(&prepared[k].delta_g2, multiexp(s.cs, s.c_weights));
+    alpha_beta_power *= prepared[k].alpha_beta.cyclotomic_pow(s.weight_sum);
+  }
+  if (pairing_product(prepared_pairs) == alpha_beta_power.conjugate()) {
+    ZL_OBS_COUNTER_ADD("prover.verify_batch.pass", 1);
+    return admitted;
+  }
+
+  // The combination failed: re-check each admitted entry alone so the flags
+  // stay exact. Admission and the B schedules carry over; nested parallelism
+  // inside the check degrades to serial.
+  ZL_OBS_COUNTER_ADD("prover.verify_batch.fallback", 1);
+  parallel_for(
+      items.size(),
+      [&](std::size_t i) {
+        if (!admitted[i]) return;
+        ZL_TRACE_SPAN("prover.verify");
+        ok[i] = pairing_check(prepared[item_key[i]], items[i].public_inputs, items[i].proof,
+                              b_prepared[i])
+                    ? 1
+                    : 0;
       },
       /*min_grain=*/1);
   return ok;

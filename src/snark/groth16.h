@@ -52,13 +52,13 @@ struct ProvingKey {
 };
 
 /// A verifying key with its pairing work hoisted out: e(alpha, beta) in GT
-/// plus the precomputed Miller schedules of the three fixed G2 points. Every
-/// verification against the same key then costs three sparse Miller loops
-/// (one of which, proof.b, is prepared per call) and one final
-/// exponentiation — no repeated G2 line computation.
+/// plus the precomputed Miller schedules of gamma and delta. Every
+/// verification against the same key then runs one three-pair multi-Miller
+/// loop (proof.b is prepared per call) and one final exponentiation — no
+/// repeated G2 line computation. prepare() builds e(alpha, beta) and the two
+/// schedules concurrently on the thread pool.
 struct PreparedVerifyingKey {
   Fq12 alpha_beta;  // e(alpha, beta)
-  G2Prepared beta_g2;
   G2Prepared gamma_g2;
   G2Prepared delta_g2;
   std::vector<G1> ic;
@@ -82,7 +82,9 @@ Proof prove(const ProvingKey& pk, const ConstraintSystem& cs, const std::vector<
 
 /// Verify a proof against the public inputs (statement) only. Prepares the
 /// key on every call, e(alpha, beta) included; use verify_batch (or keep a
-/// PreparedVerifyingKey) when verifying many proofs.
+/// PreparedVerifyingKey) when verifying many proofs. Rejects a wrong input
+/// arity, points off their curves, and a B outside the order-r subgroup G2
+/// (the EIP-197 rule).
 bool verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs, const Proof& proof);
 
 /// Prepared-key verification: the same accept/reject decision as the
@@ -99,11 +101,18 @@ struct BatchVerifyItem {
   Proof proof;
 };
 
-/// Verifies many proofs. Each distinct verifying key (matched by serialized
-/// bytes, so equal copies share) is prepared once; then every entry is
-/// checked fully and independently on the thread pool, so a bad proof in a
-/// batch is pinpointed (ok[i] == 0), not just detected. Used by block
-/// prevalidation (chain/validation.h) and the task-contract audit.
+/// Verifies many proofs with one small-exponent batch test (Bellare–Garay–
+/// Rabin). Each distinct verifying key (matched by serialized bytes, so
+/// equal copies share) is prepared once. Entries that fail verify()'s
+/// admission checks (arity, curves, B in G2) are flagged 0. The rest are
+/// weighted by fresh random nonzero 128-bit r_i and checked together as
+///   prod_i e(B_i, -r_i A_i) * prod_keys e(gamma, sum r_i vk_x_i)
+///     e(delta, sum r_i C_i) == prod_keys e(alpha, beta)^-(sum r_i),
+/// one multi-Miller loop and one final exponentiation in all. If it holds,
+/// every admitted entry is flagged 1 (a bad entry slips through with
+/// probability at most 2^-128); if not, each admitted entry is re-checked
+/// alone, so a bad proof is pinpointed (ok[i] == 0), not just detected. Used
+/// by block prevalidation (chain/validation.h) and the task-contract audit.
 std::vector<std::uint8_t> verify_batch(const std::vector<BatchVerifyItem>& items);
 
 }  // namespace zl::snark

@@ -142,4 +142,26 @@ Fq12 pairing_product_textbook(const std::vector<std::pair<G2, G1>>& pairs) {
   return final_exponentiation_textbook(acc);
 }
 
+std::optional<Fq2> fq2_sqrt(const Fq2& a) {
+  const BigInt& q = Fq::modulus_bigint();
+  const Fq2 a1 = a.pow((q - 3) / 4);
+  const Fq2 alpha = a1 * (a1 * a);  // a^((q-1)/2)
+  const Fq2 minus_one = -Fq2::one();
+  if (alpha.frobenius() * alpha == minus_one) return std::nullopt;  // the norm is a non-square
+  const Fq2 x0 = a1 * a;
+  const Fq2 x = alpha == minus_one ? Fq2(Fq::zero(), Fq::one()) * x0
+                                   : (Fq2::one() + alpha).pow((q - 1) / 2) * x0;
+  if (x.squared() != a) throw std::logic_error("fq2_sqrt: root does not square back");
+  return x;
+}
+
+G2 random_twist_point(Rng& rng) {
+  for (;;) {
+    const Fq2 x = Fq2::random(rng);
+    if (const std::optional<Fq2> y = fq2_sqrt(x.squared() * x + Bn254G2Params::b())) {
+      return G2::from_affine(x, *y);
+    }
+  }
+}
+
 }  // namespace zl::oracle

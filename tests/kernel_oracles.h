@@ -10,6 +10,8 @@
 //   pairing_textbook   — affine chord-tangent lines in full Fq12, one Fq12
 //                        inversion per Miller step, generic-pow hard part
 //                        (oracle for ec/pairing.h).
+//   random_twist_point — an on-curve twist point off G2, for the subgroup
+//                        checks of G2Prepared::in_g2 and Groth16 admission.
 //
 // Field and group arithmetic is exact, so every kernel must match its
 // oracle bit for bit. The textbook ECDSA verify lives beside this file in
@@ -17,6 +19,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -106,5 +109,17 @@ Fq12 miller_loop_textbook(const G2& q, const G1& p);
 Fq12 final_exponentiation_textbook(const Fq12& f);
 Fq12 pairing_textbook(const G2& q, const G1& p);
 Fq12 pairing_product_textbook(const std::vector<std::pair<G2, G1>>& pairs);
+
+/// A square root of `a` in Fq2, or nullopt for a non-square (q = 3 mod 4:
+/// Adj and Rodriguez-Henriquez, "Square root computation over even extension
+/// fields", Algorithm 9). src/ never decompresses G2 points, so this lives
+/// with the tests.
+std::optional<Fq2> fq2_sqrt(const Fq2& a);
+
+/// A point of the twist curve y^2 = x^3 + 3/xi with no cofactor clearing:
+/// a random x until x^3 + b is a square. It lies outside G2 with
+/// overwhelming probability (the cofactor 2q - r is ~2^254); callers confirm
+/// with in_prime_subgroup().
+G2 random_twist_point(Rng& rng);
 
 }  // namespace zl::oracle

@@ -2,6 +2,9 @@
 // the Fq2/Fq6/Fq12 tower against algebraic identities.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "ec/secp256k1.h"
 #include "field/bn254.h"
 #include "field/fp12.h"
 
@@ -61,6 +64,30 @@ TEST(Fp, InverseIsCorrect) {
     EXPECT_EQ(a * a.inverse(), Fr::one());
   }
   EXPECT_THROW(Fr::zero().inverse(), std::domain_error);
+}
+
+template <typename F>
+void expect_inverse_pinned_to_fermat_pow(Rng& rng) {
+  const BigInt p_minus_2 = F::modulus_bigint() - 2;
+  std::vector<F> values = {F::one(), -F::one(), F::from_u64(2)};
+  for (int i = 0; i < 16; ++i) values.push_back(F::random(rng));
+  for (const F& a : values) {
+    if (a.is_zero()) continue;
+    EXPECT_EQ(a.inverse(), a.pow(p_minus_2));
+    EXPECT_EQ(a * a.inverse(), F::one());
+  }
+  EXPECT_THROW(F::zero().inverse(), std::domain_error);
+}
+
+TEST(Fp, WindowedInverseMatchesFermatPowOnEveryField) {
+  // The fixed-window inverse walks the compile-time limbs of p - 2; the
+  // bit-serial pow(p - 2) it replaced is the oracle. 1 and p - 1 bracket
+  // the range; secp256k1's p has a full top window where BN254's has 3.
+  Rng rng(31);
+  expect_inverse_pinned_to_fermat_pow<Fq>(rng);
+  expect_inverse_pinned_to_fermat_pow<Fr>(rng);
+  expect_inverse_pinned_to_fermat_pow<SecpFp>(rng);
+  expect_inverse_pinned_to_fermat_pow<SecpFn>(rng);
 }
 
 TEST(Fp, PowMatchesGmp) {
@@ -216,6 +243,36 @@ TEST(Fq12, FieldAxiomsAndInverse) {
     EXPECT_EQ((a * b) * c, a * (b * c));
     EXPECT_EQ(a * (b + c), a * b + a * c);
     if (!a.is_zero()) { EXPECT_EQ(a * a.inverse(), Fq12::one()); }
+  }
+}
+
+TEST(Fq12, ComplexSquaringMatchesProduct) {
+  Rng rng(17);
+  for (int i = 0; i < 20; ++i) {
+    const Fq12 a = Fq12::random(rng);
+    EXPECT_EQ(a.squared(), a * a);
+  }
+  EXPECT_EQ(Fq12::zero().squared(), Fq12::zero());
+  EXPECT_EQ(Fq12::one().squared(), Fq12::one());
+}
+
+TEST(Fq6, SparseProductMatchesGeneric) {
+  Rng rng(18);
+  for (int i = 0; i < 10; ++i) {
+    const Fq6 a = Fq6::random(rng);
+    const Fq2 b0 = Fq2::random(rng), b1 = Fq2::random(rng);
+    EXPECT_EQ(a.mul_by_01(b0, b1), a * Fq6(b0, b1, Fq2::zero()));
+  }
+}
+
+TEST(Fq12, SparseLineProductMatchesGeneric) {
+  // mul_by_034(c0, c3, c4) multiplies by c0 + (c3 + c4 v) w.
+  Rng rng(19);
+  for (int i = 0; i < 10; ++i) {
+    const Fq12 f = Fq12::random(rng);
+    const Fq2 c0 = Fq2::random(rng), c3 = Fq2::random(rng), c4 = Fq2::random(rng);
+    const Fq12 line(Fq6(c0, Fq2::zero(), Fq2::zero()), Fq6(c3, c4, Fq2::zero()));
+    EXPECT_EQ(f.mul_by_034(c0, c3, c4), f * line);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 
+#include "common/thread_pool.h"
 #include "ec/pairing.h"
 #include "kernel_oracles.h"
 #include "snark/groth16.h"
@@ -79,6 +80,87 @@ TEST(FastPairing, InfinityHandling) {
   const std::vector<std::pair<const G2Prepared*, G1>> mixed = {
       {&prep, p * 7}, {&prep_inf, p}, {&prep, G1::infinity()}};
   EXPECT_EQ(pairing_product(mixed), pairing(q, p * 7));
+}
+
+TEST(FastPairing, MultiMillerProductMatchesSeparatePairingsAtEveryThreadCount) {
+  // Enough pairs for several slices, with infinity entries mixed in; every
+  // slicing must multiply out to the product of the separate pairings, and
+  // a single pair must match the textbook pairing.
+  Rng rng(407);
+  std::vector<G2Prepared> qs;
+  std::vector<G1> ps;
+  Fq12 expected = Fq12::one();
+  const G2 first_q = G2::generator() * Fr::random(rng);
+  for (int i = 0; i < 13; ++i) {
+    const G2 q = i == 0 ? first_q : i == 5 ? G2::infinity() : G2::generator() * Fr::random(rng);
+    const G1 p = i == 9 ? G1::infinity() : G1::generator() * Fr::random(rng);
+    qs.emplace_back(q);
+    ps.push_back(p);
+    expected *= pairing(qs.back(), p);
+  }
+  std::vector<std::pair<const G2Prepared*, G1>> prepared_pairs;
+  for (std::size_t i = 0; i < qs.size(); ++i) prepared_pairs.emplace_back(&qs[i], ps[i]);
+  const unsigned saved = num_threads();
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    set_num_threads(threads);
+    EXPECT_EQ(pairing_product(prepared_pairs), expected) << "threads=" << threads;
+  }
+  set_num_threads(saved);
+  EXPECT_EQ(pairing_product({prepared_pairs[0]}), oracle::pairing_textbook(first_q, ps[0]));
+  EXPECT_TRUE(pairing_product(std::vector<std::pair<const G2Prepared*, G1>>{}).is_one());
+}
+
+TEST(FastPairing, PsiActsAsQOnG2) {
+  Rng rng(408);
+  const G2 q = G2::generator() * Fr::random(rng);
+  const BigInt q_mod_r = Fq::modulus_bigint() % Fr::modulus_bigint();
+  EXPECT_EQ(q_mod_r, bn254_ate_loop_count());  // q = 6x^2 (mod r)
+  EXPECT_EQ(g2_psi(q), q * q_mod_r);
+  EXPECT_TRUE(g2_psi(G2::infinity()).is_infinity());
+}
+
+TEST(FastPairing, PsiSatisfiesFrobeniusEquationOnTheWholeTwist) {
+  // psi^2 - t psi + q = 0 on every twist point, not only on G2: the degree
+  // argument behind G2Prepared::in_g2 rests on it.
+  Rng rng(410);
+  const BigInt t = bn254_ate_loop_count() + 1;
+  for (int i = 0; i < 2; ++i) {
+    const G2 p = oracle::random_twist_point(rng);
+    EXPECT_EQ(g2_psi(g2_psi(p)) + p * Fq::modulus_bigint(), g2_psi(p) * t);
+  }
+}
+
+TEST(FastPairing, G2MembershipFromTheScheduleMatchesOrderCheck) {
+  // G2Prepared::in_g2 (psi(Q) == [6x^2]Q, the schedule's end point) against
+  // the plain [r]Q == O on points of G2, on raw twist points (no cofactor
+  // clearing), on a point of the cofactor's small prime order 10069, and on
+  // sums of them.
+  Rng rng(409);
+  const BigInt& r = Fr::modulus_bigint();
+  const BigInt cofactor = 2 * Fq::modulus_bigint() - r;
+  std::vector<G2> points = {G2::infinity(), G2::generator(), -G2::generator()};
+  for (int i = 0; i < 3; ++i) points.push_back(G2::generator() * Fr::random(rng));
+  for (int i = 0; i < 3; ++i) {
+    const G2 raw = oracle::random_twist_point(rng);
+    EXPECT_TRUE((raw * (cofactor * r)).is_infinity()) << "the twist group has order r (2q - r)";
+    points.push_back(raw);
+    points.push_back(raw + G2::generator());
+    points.push_back(raw * cofactor);  // cofactor clearing lands in G2
+  }
+  ASSERT_EQ(BigInt(cofactor % 10069), 0);
+  const G2 small = oracle::random_twist_point(rng) * (cofactor / 10069 * r);
+  ASSERT_FALSE(small.is_infinity());
+  ASSERT_TRUE((small * 10069).is_infinity());
+  points.push_back(small);
+  points.push_back(small + G2::generator());
+  std::size_t inside = 0, outside = 0;
+  for (const G2& q : points) {
+    const bool member = q.in_prime_subgroup();
+    EXPECT_EQ(G2Prepared(q).in_g2(), member);
+    ++(member ? inside : outside);
+  }
+  EXPECT_EQ(inside, 9u);
+  EXPECT_EQ(outside, 8u);
 }
 
 TEST(FastPairing, CyclotomicArithmeticOnUnitaryElements) {

@@ -2,6 +2,7 @@
 // setup/prove/verify loop including soundness-flavoured negative cases.
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "crypto/keccak.h"
 #include "kernel_oracles.h"
 #include "snark/groth16.h"
@@ -359,6 +360,134 @@ TEST(Groth16, CircuitWithManyConstraints) {
   const Proof proof = prove(keys.pk, cs, z, rng);
   EXPECT_TRUE(verify(keys.vk, {z[1]}, proof));
   EXPECT_FALSE(verify(keys.vk, {z[1] + Fr::one()}, proof));
+}
+
+// A verifying key whose trapdoor is known, so a test can write proofs that
+// satisfy the verification equation directly (and forge ones that should
+// not pass): with A = [a], B = [b], the equation
+// e(A, B) = e(alpha, beta) e(vk_x, gamma) e(C, delta) holds iff
+// C = [(ab - alpha beta - vk_x gamma) / delta].
+struct TrapdoorKey {
+  Fr alpha, beta, gamma, delta;
+  std::vector<Fr> ic;  // discrete logs of vk.ic
+  VerifyingKey vk;
+
+  TrapdoorKey(Rng& rng, std::size_t num_inputs)
+      : alpha(Fr::random(rng)),
+        beta(Fr::random(rng)),
+        gamma(Fr::random(rng)),
+        delta(Fr::random(rng)) {
+    vk.alpha_g1 = G1::generator() * alpha;
+    vk.beta_g2 = G2::generator() * beta;
+    vk.gamma_g2 = G2::generator() * gamma;
+    vk.delta_g2 = G2::generator() * delta;
+    for (std::size_t j = 0; j <= num_inputs; ++j) {
+      ic.push_back(Fr::random(rng));
+      vk.ic.push_back(G1::generator() * ic.back());
+    }
+  }
+
+  /// alpha beta + vk_x gamma: the log of the right-hand side before C.
+  Fr fixed_log(const std::vector<Fr>& x) const {
+    Fr vk_x = ic[0];
+    for (std::size_t j = 0; j < x.size(); ++j) vk_x += ic[j + 1] * x[j];
+    return alpha * beta + vk_x * gamma;
+  }
+
+  /// The discrete log of C that makes (A, B, C) = ([a], [b], C) verify.
+  Fr c_log(const Fr& ab, const std::vector<Fr>& x) const {
+    return (ab - fixed_log(x)) * delta.inverse();
+  }
+
+  Proof proof(const Fr& a, const Fr& b, const std::vector<Fr>& x) const {
+    return {G1::generator() * a, G2::generator() * b, G1::generator() * c_log(a * b, x)};
+  }
+};
+
+/// Every flag of verify_batch must equal a lone verify() of that entry, at
+/// one thread and at eight.
+void expect_batch_flags(const std::vector<BatchVerifyItem>& items,
+                        const std::vector<std::uint8_t>& expected) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(verify(*items[i].vk, items[i].public_inputs, items[i].proof), expected[i] != 0)
+        << "item " << i;
+  }
+  const unsigned saved = num_threads();
+  for (const unsigned threads : {1u, 8u}) {
+    set_num_threads(threads);
+    EXPECT_EQ(verify_batch(items), expected) << "threads=" << threads;
+  }
+  set_num_threads(saved);
+}
+
+TEST(VerifyBatchAdversarial, OffSubgroupBIsRejectedAloneAndFlaggedAloneInABatch) {
+  // With A = O the equation no longer involves B, so a trapdoor C makes
+  // (O, B, C) satisfy it for any B at all. B on the twist curve but outside
+  // G2 must still be refused, by verify() and inside a batch; the same
+  // proof with B in G2 passes, so the subgroup check is the only reason.
+  Rng rng(1501);
+  const TrapdoorKey key(rng, 2);
+  const std::vector<Fr> x = {Fr::random(rng), Fr::random(rng)};
+  const G2 off = oracle::random_twist_point(rng);
+  ASSERT_TRUE(off.is_on_curve());
+  ASSERT_FALSE(off.in_prime_subgroup());
+
+  Proof forged = key.proof(Fr::zero(), Fr::one(), x);
+  ASSERT_TRUE(forged.a.is_infinity());
+  EXPECT_TRUE(verify(key.vk, x, forged));  // B = generator: in G2
+  forged.b = off;
+  EXPECT_FALSE(verify(key.vk, x, forged));
+
+  std::vector<BatchVerifyItem> items;
+  for (int i = 0; i < 4; ++i) {
+    items.push_back({&key.vk, x, key.proof(Fr::random(rng), Fr::random(rng), x)});
+  }
+  items.insert(items.begin() + 2, {&key.vk, x, forged});
+  expect_batch_flags(items, {1, 1, 0, 1, 1});
+}
+
+TEST(VerifyBatchAdversarial, CancellingPairIsFlaggedZeroTwice) {
+  // Two bad proofs whose C errors cancel in an unweighted sum: C1 + D and
+  // C2 - D. Only random weights r_i keep them from passing together.
+  Rng rng(1502);
+  const TrapdoorKey key(rng, 1);
+  const G1 shift = G1::generator() * Fr::random(rng);
+  std::vector<BatchVerifyItem> items;
+  for (int i = 0; i < 5; ++i) {
+    const std::vector<Fr> x = {Fr::random(rng)};
+    items.push_back({&key.vk, x, key.proof(Fr::random(rng), Fr::random(rng), x)});
+  }
+  items[1].proof.c = items[1].proof.c + shift;
+  items[3].proof.c = items[3].proof.c - shift;
+  expect_batch_flags(items, {1, 0, 1, 0, 1});
+  // Alone, the pair is the whole batch.
+  expect_batch_flags({items[1], items[3]}, {0, 0});
+}
+
+TEST(VerifyBatchAdversarial, InfinityAOrCFlagsMatchVerify) {
+  // A or C at infinity, in entries that satisfy the equation (built from the
+  // trapdoor) and in entries that do not (a real proof with A or C zeroed).
+  Rng rng(1503);
+  const TrapdoorKey key(rng, 1);
+  const std::vector<Fr> x = {Fr::random(rng)};
+  const Proof a_at_infinity = key.proof(Fr::zero(), Fr::random(rng), x);
+  // C = O exactly when ab = alpha beta + vk_x gamma.
+  const Fr a = Fr::random(rng);
+  const Proof c_at_infinity = key.proof(a, key.fixed_log(x) * a.inverse(), x);
+  ASSERT_TRUE(a_at_infinity.a.is_infinity());
+  ASSERT_TRUE(c_at_infinity.c.is_infinity());
+
+  const Proof honest = key.proof(Fr::random(rng), Fr::random(rng), x);
+  Proof honest_a_zeroed = honest, honest_c_zeroed = honest;
+  honest_a_zeroed.a = G1::infinity();
+  honest_c_zeroed.c = G1::infinity();
+  const std::vector<BatchVerifyItem> items = {
+      {&key.vk, x, a_at_infinity},   {&key.vk, x, honest},
+      {&key.vk, x, c_at_infinity},   {&key.vk, x, honest_a_zeroed},
+      {&key.vk, x, honest_c_zeroed},
+  };
+  expect_batch_flags(items, {1, 1, 1, 0, 0});
+  expect_batch_flags({items[0], items[2]}, {1, 1});
 }
 
 }  // namespace
