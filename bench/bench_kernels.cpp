@@ -7,6 +7,9 @@
 //   - secp256k1 ECDSA: sign (blinded fixed-base walk) and verify (one joint
 //     GLV-wNAF pass) against the textbook double-and-add verify kept in
 //     tests/ecdsa_oracle.h (us/op),
+//   - the optimal ate pairing: the textbook oracle vs. the fast path, and
+//     the fast path's parts — one G2 schedule with its membership test, one
+//     final exponentiation, an 8-pair prepared product (ms/op),
 //   - Groth16 on the CPL-AA circuit: k proofs checked one at a time against
 //     a prepared key vs. one snark::verify_batch call, k = 1, 8, 64
 //     (ms/proof; the batch prepares its key on every call),
@@ -38,6 +41,7 @@
 #include "ec/bn254_groups.h"
 #include "ec/glv.h"
 #include "ec/multiexp.h"
+#include "ec/pairing.h"
 #include "ecdsa_oracle.h"
 #include "kernel_oracles.h"
 #include "snark/domain.h"
@@ -154,6 +158,59 @@ int main() {
   std::printf("ECDSA verify %7.1f us/op   (oracle %.1f us, %.2fx speedup)\n", ecdsa_verify_us,
               ecdsa_oracle_verify_us, ecdsa_oracle_verify_us / ecdsa_verify_us);
 
+  // --- Pairing: textbook oracle vs. the fast path, and its parts ---------
+  double pairing_textbook_ms = 0, pairing_ms = 0, g2_prepare_ms = 0, final_exp_ms = 0,
+         product8_ms = 0;
+  {
+    constexpr std::size_t kPairs = 8;
+    std::vector<G2> qs;
+    std::vector<G1> ps;
+    for (std::size_t i = 0; i < kPairs; ++i) {
+      qs.push_back(G2::generator() * Fr::random(rng));
+      ps.push_back(G1::generator() * Fr::random(rng));
+    }
+    std::vector<G2Prepared> prepared(qs.begin(), qs.end());
+    std::vector<std::pair<const G2Prepared*, G1>> pairs;
+    for (std::size_t i = 0; i < kPairs; ++i) pairs.emplace_back(&prepared[i], ps[i]);
+    const Fq12 f = miller_loop(qs[0], ps[0]);
+    // Rounds time every row once each, so host noise lands on all rows
+    // alike; each row is the median over rounds.
+    std::vector<double> textbook, fast_ms, prepare, final_exp, product;
+    Fq12 fast, slow;
+    bool in_g2 = true;
+    for (int round = 0; round < 9; ++round) {
+      textbook.push_back(median_seconds(1, [&] { slow = oracle::pairing_textbook(qs[0], ps[0]); }));
+      fast_ms.push_back(median_seconds(1, [&] { fast = pairing(qs[0], ps[0]); }));
+      if (fast != slow) {
+        std::fprintf(stderr, "FATAL: fast pairing disagrees with the textbook oracle\n");
+        return 1;
+      }
+      prepare.push_back(median_seconds(1, [&] { in_g2 &= G2Prepared(qs[1]).in_g2(); }));
+      final_exp.push_back(median_seconds(1, [&] { fast = final_exponentiation(f); }));
+      product.push_back(median_seconds(1, [&] { fast = pairing_product(pairs); }));
+    }
+    const auto median_ms = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2] * 1e3;
+    };
+    pairing_textbook_ms = median_ms(textbook);
+    pairing_ms = median_ms(fast_ms);
+    g2_prepare_ms = median_ms(prepare);
+    final_exp_ms = median_ms(final_exp);
+    product8_ms = median_ms(product);
+    if (!in_g2 || fast.is_one()) {
+      std::fprintf(stderr, "FATAL: G2 schedule or pairing product degenerate\n");
+      return 1;
+    }
+    std::printf("\nPairing (ms/op)\n");
+    std::printf("textbook     %7.3f\nfast         %7.3f   (%.2fx speedup)\n", pairing_textbook_ms,
+                pairing_ms, pairing_textbook_ms / pairing_ms);
+    std::printf("G2 schedule  %7.3f   (with the G2 membership test)\n", g2_prepare_ms);
+    std::printf("final exp    %7.3f\n8-pair prod  %7.3f   (prepared: one multi-Miller loop + "
+                "one final exp)\n",
+                final_exp_ms, product8_ms);
+  }
+
   // --- Groth16: one prepared verify vs. the batch, on the auth circuit --
   // The CPL-AA circuit at the lifecycle workload's registry depth. The
   // proofs are made on every hardware thread (distinct messages, so
@@ -161,7 +218,11 @@ int main() {
   constexpr std::size_t kBatchSizes[] = {1, 8, 64};
   constexpr std::size_t kMaxBatch = 64;
   double groth16_verify_ms = 0;
-  std::vector<std::pair<std::size_t, double>> batch_rows;  // (k, ms per proof)
+  struct BatchRow {
+    std::size_t k;
+    double single_ms, batch_ms;  // per proof
+  };
+  std::vector<BatchRow> batch_rows;
   {
     std::fprintf(stderr, "[kernels] proving %zu CPL-AA attestations...\n", kMaxBatch);
     const unsigned depth = 8;
@@ -212,7 +273,7 @@ int main() {
       const double single = single_ms[single_ms.size() / 2];
       const double per_proof = batch_ms[batch_ms.size() / 2];
       if (k == kMaxBatch) groth16_verify_ms = single;
-      batch_rows.emplace_back(k, per_proof);
+      batch_rows.push_back({k, single, per_proof});
       std::printf("%8zu %12.3f %12.3f %8.2fx\n", k, single, per_proof, single / per_proof);
     }
     if (!all_ok) {
@@ -376,11 +437,19 @@ int main() {
                "  \"ecdsa_oracle_verify_us\": %.2f,\n  \"ecdsa_verify_speedup\": %.3f,\n",
                ecdsa_verify_us, ecdsa_sign_us, ecdsa_oracle_verify_us,
                ecdsa_oracle_verify_us / ecdsa_verify_us);
+  std::fprintf(json,
+               "  \"pairing_ms\": {\"textbook\": %.3f, \"fast\": %.3f, \"speedup\": %.3f, "
+               "\"g2_prepare\": %.3f, \"final_exp\": %.3f, \"product8_prepared\": %.3f},\n",
+               pairing_textbook_ms, pairing_ms, pairing_textbook_ms / pairing_ms, g2_prepare_ms,
+               final_exp_ms, product8_ms);
   std::fprintf(json, "  \"groth16_verify_ms\": %.3f,\n", groth16_verify_ms);
   std::fprintf(json, "  \"groth16_batch_verify_ms_per_proof\": [\n");
   for (std::size_t i = 0; i < batch_rows.size(); ++i) {
-    std::fprintf(json, "    {\"k\": %zu, \"ms\": %.3f}%s\n", batch_rows[i].first,
-                 batch_rows[i].second, i + 1 < batch_rows.size() ? "," : "");
+    const BatchRow& r = batch_rows[i];
+    std::fprintf(json,
+                 "    {\"k\": %zu, \"ms\": %.3f, \"one_by_one_ms\": %.3f, \"gain\": %.3f}%s\n",
+                 r.k, r.batch_ms, r.single_ms, r.single_ms / r.batch_ms,
+                 i + 1 < batch_rows.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n");
   std::fprintf(json, "  \"g1_multiexp_us_per_point\": [\n");

@@ -307,24 +307,48 @@ Point multiexp_kernel_glv(const std::vector<Point>& points, const std::vector<Fr
   return multiexp_core<Point>(pts, k, scalar_bits);
 }
 
+/// Sum of scalars[i] * points[i] for a handful of terms: each live term
+/// (nonzero scalar, finite point) is GLV-split, and the halves run through
+/// the joint wNAF kernel two terms (four half-scalars) per doubling chain.
+template <typename Point>
+Point multiexp_small(const std::vector<Point>& points, const std::vector<Fr>& scalars) {
+  constexpr unsigned w = kWnafCallWindow;
+  std::vector<std::size_t> live;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (!scalars[i].is_zero() && !points[i].is_infinity()) live.push_back(i);
+  }
+  Point acc = Point::infinity();
+  for (std::size_t j = 0; j < live.size(); j += 2) {
+    const std::size_t a = live[j];
+    if (j + 1 == live.size()) {
+      acc += glv_mul(points[a], scalars[a]);
+      break;
+    }
+    const std::size_t b = live[j + 1];
+    const GlvDecomposition da = glv_decompose<Point>(scalars[a].to_bigint());
+    const GlvDecomposition db = glv_decompose<Point>(scalars[b].to_bigint());
+    const std::vector<typename Point::Affine> ta = glv_tables(points[a], w);
+    const std::vector<typename Point::Affine> tb = glv_tables(points[b], w);
+    acc += wnaf_mul<Point>({{ta.data(), w, da.k1},
+                            {ta.data() + ta.size() / 2, w, da.k2},
+                            {tb.data(), w, db.k1},
+                            {tb.data() + tb.size() / 2, w, db.k2}});
+  }
+  return acc;
+}
+
 }  // namespace detail
 
 /// Computes sum_i scalars[i] * points[i] over G1 or G2 (the kernel needs the
-/// GLV endomorphism). Scalars are Fr elements. Tiny inputs take a plain sum
-/// of scalar multiplications; everything else runs the kernel.
+/// GLV endomorphism). Scalars are Fr elements. Fewer than 8 terms take the
+/// joint wNAF kernel; everything else runs the bucket kernel.
 template <typename Point>
 Point multiexp(const std::vector<Point>& points, const std::vector<Fr>& scalars) {
   if (points.size() != scalars.size()) {
     throw std::invalid_argument("multiexp: size mismatch");
   }
   ZL_TRACE_SPAN("prover.multiexp");
-  if (points.size() < 8) {
-    Point acc = Point::infinity();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (!scalars[i].is_zero()) acc += points[i] * scalars[i].to_bigint();
-    }
-    return acc;
-  }
+  if (points.size() < 8) return detail::multiexp_small(points, scalars);
   return detail::multiexp_kernel_glv(points, scalars);
 }
 

@@ -1,5 +1,7 @@
 #include "ec/pairing.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "common/thread_pool.h"
@@ -61,15 +63,40 @@ Fq12 final_exponentiation_easy(const Fq12& f) {
   return f1.frobenius_power(2) * f1;            // ^(q^2 + 1)
 }
 
-/// The bits of the ate loop count below its top bit, most significant
-/// first: one Miller step each, with an addition step where the bit is set.
-const std::vector<bool>& miller_steps() {
-  static const std::vector<bool> steps = [] {
-    const BigInt& s = bn254_ate_loop_count();
-    const std::size_t bits = mpz_sizeinbase(s.get_mpz_t(), 2);
-    std::vector<bool> out;
-    for (std::size_t i = bits - 1; i-- > 0;) out.push_back(mpz_tstbit(s.get_mpz_t(), i) != 0);
-    return out;
+/// Frobenius twist constants: psi(x, y) = (conj(x) gx, conj(y) gy) with
+/// gx = xi^((q-1)/3), gy = xi^((q-1)/2), from the untwist (x w^2, y w^3).
+const std::pair<Fq2, Fq2>& psi_constants() {
+  static const std::pair<Fq2, Fq2> c = [] {
+    const BigInt& q = Fq::modulus_bigint();
+    return std::make_pair(Fq2::xi().pow((q - 1) / 3), Fq2::xi().pow((q - 1) / 2));
+  }();
+  return c;
+}
+
+/// psi on affine coordinates: two conjugations and two Fq2 products.
+std::pair<Fq2, Fq2> psi_affine(const Fq2& x, const Fq2& y) {
+  const auto& [gx, gy] = psi_constants();
+  return {x.conjugate() * gx, y.conjugate() * gy};
+}
+
+/// The signed-binary (NAF) digits of the optimal ate loop count 6x + 2
+/// below its top digit, most significant first: one Miller step each, with
+/// an addition step of +Q (digit 1) or -Q (digit -1) where it is nonzero.
+/// 65 steps, 21 of them with an addition.
+const std::vector<std::int8_t>& miller_steps() {
+  static const std::vector<std::int8_t> steps = [] {
+    BigInt k = 6 * bn254_x() + 2;
+    std::vector<std::int8_t> naf;  // least significant first
+    while (k > 0) {
+      std::int8_t d = 0;
+      if (mpz_odd_p(k.get_mpz_t())) {
+        d = mpz_tstbit(k.get_mpz_t(), 1) ? -1 : 1;  // k - d = 0 (mod 4)
+        k -= d;
+      }
+      naf.push_back(d);
+      k /= 2;
+    }
+    return std::vector<std::int8_t>(naf.rbegin() + 1, naf.rend());
   }();
   return steps;
 }
@@ -77,7 +104,7 @@ const std::vector<bool>& miller_steps() {
 /// Multi-Miller loop over n finite pairs (qs[k], ps[k]): one accumulator,
 /// squared once per step for all pairs, with each pair's precomputed line
 /// folded in by a sparse product. Every schedule has the same shape, so one
-/// line index walks all of them in step.
+/// line index walks all of them in step; the two Frobenius lines come last.
 Fq12 multi_miller_loop(const G2Prepared* const* qs, const G1::Affine* ps, std::size_t n) {
   Fq12 f = Fq12::one();
   std::size_t idx = 0;
@@ -88,22 +115,14 @@ Fq12 multi_miller_loop(const G2Prepared* const* qs, const G1::Affine* ps, std::s
     }
     ++idx;
   };
-  for (const bool add : miller_steps()) {
+  for (const std::int8_t digit : miller_steps()) {
     if (idx > 0) f = f.squared();  // the first square is of one
     fold_lines();
-    if (add) fold_lines();
+    if (digit != 0) fold_lines();
   }
+  fold_lines();  // through psi(Q)
+  fold_lines();  // through -psi^2(Q)
   return f;
-}
-
-/// Frobenius twist constants: psi(x, y) = (conj(x) gx, conj(y) gy) with
-/// gx = xi^((q-1)/3), gy = xi^((q-1)/2), from the untwist (x w^2, y w^3).
-const std::pair<Fq2, Fq2>& psi_constants() {
-  static const std::pair<Fq2, Fq2> c = [] {
-    const BigInt& q = Fq::modulus_bigint();
-    return std::make_pair(Fq2::xi().pow((q - 1) / 3), Fq2::xi().pow((q - 1) / 2));
-  }();
-  return c;
 }
 
 }  // namespace
@@ -115,18 +134,29 @@ G2Prepared::G2Prepared(const G2& q) {
   Fq2 x = qx, y = qy, z = Fq2::one();
   const Fq2 twist_b = Bn254G2Params::b();
 
-  // One line per doubling plus one per set bit; the classic ate loop count
-  // 6x^2 < r guarantees no degenerate (vertical) steps on a prime-order Q.
-  coeffs_.reserve(2 * miller_steps().size());
-  for (const bool add : miller_steps()) {
+  // One line per doubling, one per nonzero digit, and the two Frobenius
+  // lines. On a prime-order Q no step is degenerate: the running point is
+  // [k]Q with 1 < k < 6x + 2 < r when a digit adds +-Q, and the Frobenius
+  // additions meet [6x + 2]Q = -[q - q^2 + q^3]Q and [q^2 - q^3]Q, neither
+  // of which is +-its summand.
+  const std::vector<std::int8_t>& steps = miller_steps();
+  const auto additions = std::count_if(steps.begin(), steps.end(), [](auto d) { return d != 0; });
+  coeffs_.reserve(steps.size() + static_cast<std::size_t>(additions) + 2);
+  for (const std::int8_t digit : steps) {
     coeffs_.push_back(doubling_step(x, y, z, twist_b));
-    if (add) coeffs_.push_back(addition_step(x, y, z, qx, qy));
+    if (digit != 0) coeffs_.push_back(addition_step(x, y, z, qx, digit > 0 ? qy : -qy));
   }
-  // The running point is now [6x^2]Q in homogeneous coordinates, unless an
-  // addition step met +-Q, which leaves Z = 0. No G2 point can (its
-  // multiples below r never meet +-Q), so Z = 0 means "not in G2".
-  const auto& [gx, gy] = psi_constants();
-  in_g2_ = !z.is_zero() && x == qx.conjugate() * gx * z && y == qy.conjugate() * gy * z;
+  // The running point is now [6x + 2]Q. Add psi(Q), then -psi^2(Q), both
+  // affine (psi needs no inversion), with the lines through them.
+  const auto [q1x, q1y] = psi_affine(qx, qy);
+  const auto [q2x, q2y] = psi_affine(q1x, q1y);
+  coeffs_.push_back(addition_step(x, y, z, q1x, q1y));
+  coeffs_.push_back(addition_step(x, y, z, q2x, -q2y));
+  // The end point is [6x + 2]Q + psi(Q) - psi^2(Q) in homogeneous
+  // coordinates, unless some addition step met +-its summand, which leaves
+  // Z = 0 for good. Q is in G2 iff Z != 0 and the end point is -psi^3(Q).
+  const auto [q3x, q3y] = psi_affine(q2x, q2y);
+  in_g2_ = !z.is_zero() && x == q3x * z && y == -(q3y * z);
 }
 
 Fq12 miller_loop(const G2Prepared& q, const G1& p) {

@@ -1,32 +1,38 @@
 #pragma once
-// The ate pairing on BN254.
+// The optimal ate pairing on BN254 (Vercauteren, "Optimal Pairings", 2010;
+// the pairing of EIP-197).
 //
-// e : G2 x G1 -> mu_r in Fq12,  e(Q, P) = f_{t-1, Q}(P) ^ ((q^12 - 1) / r)
+// e : G2 x G1 -> mu_r in Fq12,
+// e(Q, P) = (f_{6x+2,Q}(P) l_{T,psi(Q)}(P) l_{T',-psi^2(Q)}(P)) ^ ((q^12 - 1) / r)
+// with T = [6x + 2]Q and T' = T + psi(Q): the Miller loop walks the signed
+// binary digits of 6x + 2 (65 doublings, 21 additions of +-Q), then adds the
+// two lines through the Frobenius images of Q.
 //
-// Fast path (the default): the Miller doubling/addition schedule for a G2
-// point is run once in homogeneous projective Fq2 coordinates, storing one
-// line-coefficient triple per step (`G2Prepared`). The Miller loop itself is
-// then inversion-free: each step squares the accumulator and folds in the
-// precomputed line with a sparse `Fq12::mul_by_034`, touching the G1 point
-// only through two Fq2-by-Fq scalar products. The final exponentiation runs
-// its easy part with conjugation/Frobenius and its hard part
-// (q^4 - q^2 + 1)/r with the exact Devegili/Scott addition chain in the BN
-// parameter x, using cyclotomic squarings throughout.
+// The Miller schedule for a G2 point is run once in homogeneous projective
+// Fq2 coordinates, storing one line-coefficient triple per step
+// (`G2Prepared`). The Miller loop itself is then inversion-free: each step
+// squares the accumulator and folds in the precomputed line with a sparse
+// `Fq12::mul_by_034`, touching the G1 point only through two Fq2-by-Fq
+// scalar products. The final exponentiation runs its easy part with
+// conjugation/Frobenius and its hard part (q^4 - q^2 + 1)/r with the exact
+// Devegili/Scott addition chain in the BN parameter x, using cyclotomic
+// squarings throughout.
 //
-// Line format: with the untwist psi(x, y) = (x w^2, y w^3) (w^6 = xi), every
+// Line format: with the untwist (x, y) -> (x w^2, y w^3) (w^6 = xi), every
 // chord/tangent line evaluated at P = (px, py) has the sparse w-basis shape
 //     l(P) = (ell_vw * py) + (ell_vv * px) w + ell_0 w^3,
 // all coefficients in Fq2 and determined by the G2 schedule alone. Line
 // coefficients carry per-step Fq2 scale factors from the projective
-// formulas; those lie in a subfield killed by the easy part of the final
-// exponentiation, so pairing outputs are bit-identical to the textbook
-// implementation (affine chord-tangent lines in full Fq12, one Fq12
-// inversion per step, generic-pow hard part), which lives with the tests as
-// an oracle (tests/kernel_oracles.h) and is pinned by
-// tests/test_pairing_fast.cpp.
+// formulas, and the -Q additions drop vertical lines; all of those lie in
+// Fq6, which the easy part of the final exponentiation kills, so pairing
+// outputs are bit-identical to the textbook optimal ate pairing (affine
+// chord-tangent lines in full Fq12 over the plain binary digits of 6x + 2,
+// Frobenius lines from Fq12 Frobenius powers, generic-pow hard part), which
+// lives with the tests as an oracle (tests/kernel_oracles.h) and is pinned
+// by tests/test_pairing_fast.cpp.
 //
 // Verified by bilinearity/non-degeneracy property tests in tests/test_ec.cpp
-// and old-vs-new bit-equality tests in tests/test_pairing_fast.cpp.
+// and fast-vs-textbook bit-equality tests in tests/test_pairing_fast.cpp.
 
 #include <vector>
 
@@ -43,10 +49,11 @@ struct LineCoefficients {
   Fq2 ell_vv;  // multiplied by x_P (w^1 coefficient)
 };
 
-/// A G2 point with its full Miller doubling/addition schedule precomputed:
-/// one `LineCoefficients` per doubling step plus one per addition step, in
-/// loop order. Preparing costs one pass of projective Fq2 point arithmetic;
-/// every subsequent Miller loop against the same point reuses the table.
+/// A G2 point with its full Miller schedule precomputed: one
+/// `LineCoefficients` per doubling step, one per addition step, and the two
+/// Frobenius lines, in loop order. Preparing costs one pass of projective
+/// Fq2 point arithmetic; every subsequent Miller loop against the same point
+/// reuses the table.
 class G2Prepared {
  public:
   /// Prepared point at infinity (pairing degenerates to one).
@@ -59,12 +66,21 @@ class G2Prepared {
   /// Whether the point lies in G2, the order-r subgroup of the twist
   /// (EIP-197 requires the check; the random-linear-combination batch in
   /// snark::verify_batch relies on it). Read off the schedule at no extra
-  /// cost: its running point ends at [6x^2]Q, compared with g2_psi(Q). That
-  /// test is exact: psi satisfies psi^2 - t psi + q = 0 (t = 6x^2 + 1), so
-  /// psi - [6x^2] has degree (6x^2)^2 - t 6x^2 + q = q + 1 - t = r; its
-  /// kernel has at most r points and contains G2 (psi acts there as
-  /// q = 6x^2 mod r), so it is G2. Pinned against in_prime_subgroup() by
-  /// tests/test_pairing_fast.cpp. The point at infinity is in G2.
+  /// cost: its running point ends at [6x + 2]Q + psi(Q) - psi^2(Q), compared
+  /// with -psi^3(Q). So the test is alpha(Q) == O for the endomorphism
+  /// alpha = 6x + 2 + psi - psi^2 + psi^3, and it is exact:
+  ///   - On G2, psi acts as q (mod r), and 6x + 2 + q - q^2 + q^3 = 0
+  ///     (mod r), so alpha kills G2.
+  ///   - Reduced by psi^2 = t psi - q (t = 6x^2 + 1), alpha = a + b psi, of
+  ///     degree N(alpha) = a^2 + t ab + q b^2 = r m, with gcd(m, 2q - r) = 1.
+  ///   - The twist group E'(Fq2) has order r (2q - r). The points of it that
+  ///     alpha kills form a subgroup whose order divides both r m and
+  ///     r (2q - r), hence divides r: that subgroup is G2.
+  /// An addition step that meets +-its summand (possible only off G2)
+  /// leaves Z = 0, which reads as "not in G2". Pinned against
+  /// in_prime_subgroup(), and the norm identity checked in BigInt
+  /// arithmetic, by tests/test_pairing_fast.cpp. The point at infinity is in
+  /// G2.
   bool in_g2() const { return in_g2_; }
 
  private:
@@ -92,7 +108,7 @@ Fq12 pairing(const G2& q, const G1& p);
 Fq12 pairing(const G2Prepared& q, const G1& p);
 
 /// Product of pairings: prod_i e(Q_i, P_i), as one multi-Miller loop and one
-/// final exponentiation. This is what the Groth16 verifier calls.
+/// final exponentiation.
 Fq12 pairing_product(const std::vector<std::pair<G2, G1>>& pairs);
 
 /// Prepared overload, and the one pairing-product path: the unprepared one
@@ -106,10 +122,11 @@ Fq12 pairing_product(const std::vector<std::pair<G2, G1>>& pairs);
 Fq12 pairing_product(const std::vector<std::pair<const G2Prepared*, G1>>& pairs);
 
 /// The untwist-Frobenius-twist endomorphism psi of the twist curve (the
-/// G2 test of G2Prepared::in_g2 rests on it; tests pin its equation):
-/// psi(x, y) = (conj(x) xi^((q-1)/3), conj(y) xi^((q-1)/2)). It satisfies
-/// psi^2 - t psi + q = 0 (t = 6x^2 + 1, the trace of Frobenius), and on G2
-/// it acts as multiplication by q = 6x^2 (mod r).
+/// Frobenius lines and the G2 test of G2Prepared::in_g2 rest on it; tests
+/// pin its equation): psi(x, y) = (conj(x) xi^((q-1)/3), conj(y)
+/// xi^((q-1)/2)). It satisfies psi^2 - t psi + q = 0 (t = 6x^2 + 1, the
+/// trace of Frobenius), and on G2 it acts as multiplication by q = 6x^2
+/// (mod r).
 G2 g2_psi(const G2& q);
 
 }  // namespace zl

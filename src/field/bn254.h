@@ -36,12 +36,6 @@ inline const BigInt& bn254_x() {
   return x;
 }
 
-/// Ate pairing Miller-loop length: t - 1 = 6x^2.
-inline const BigInt& bn254_ate_loop_count() {
-  static const BigInt t_minus_1 = 6 * bn254_x() * bn254_x();
-  return t_minus_1;
-}
-
 /// Fr has 2-adicity 28: r - 1 = 2^28 * odd. Generator of the full
 /// multiplicative group (as in libff) is 5; tests verify both claims.
 inline constexpr unsigned kFrTwoAdicity = 28;

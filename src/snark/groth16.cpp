@@ -236,9 +236,9 @@ Proof prove(const ProvingKey& pk, const ConstraintSystem& cs, const std::vector<
 
 namespace {
 
-/// Prepares every key: e(alpha, beta) and the gamma and delta schedules of
-/// each are three independent tasks on the thread pool, so even a lone key
-/// keeps three threads busy.
+/// Prepares every key: the beta, gamma and delta schedules of each are
+/// three independent tasks on the thread pool, so even a lone key keeps
+/// three threads busy.
 std::vector<PreparedVerifyingKey> prepare_keys(const std::vector<const VerifyingKey*>& keys) {
   std::vector<PreparedVerifyingKey> out(keys.size());
   parallel_for(
@@ -247,7 +247,8 @@ std::vector<PreparedVerifyingKey> prepare_keys(const std::vector<const Verifying
         const VerifyingKey& vk = *keys[t / 3];
         PreparedVerifyingKey& pvk = out[t / 3];
         if (t % 3 == 0) {
-          pvk.alpha_beta = pairing(G2Prepared(vk.beta_g2), vk.alpha_g1);
+          pvk.alpha_g1 = vk.alpha_g1;
+          pvk.beta_g2 = G2Prepared(vk.beta_g2);
         } else if (t % 3 == 1) {
           pvk.gamma_g2 = G2Prepared(vk.gamma_g2);
         } else {
@@ -276,7 +277,7 @@ std::optional<G2Prepared> admit(const PreparedVerifyingKey& pvk,
 }
 
 /// The Groth16 equation for one admitted proof whose B is already prepared:
-/// e(B, -A) e(gamma, vk_x) e(delta, C) == e(alpha, beta)^-1, one three-pair
+/// e(B, -A) e(beta, alpha) e(gamma, vk_x) e(delta, C) == 1, one four-pair
 /// multi-Miller loop and one final exponentiation.
 bool pairing_check(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs,
                    const Proof& proof, const G2Prepared& b_prepared) {
@@ -287,8 +288,10 @@ bool pairing_check(const PreparedVerifyingKey& pvk, const std::vector<Fr>& publi
     vk_x += glv_mul(pvk.ic[i + 1], public_inputs[i]);
   }
   return pairing_product({{&b_prepared, -proof.a},
+                          {&pvk.beta_g2, pvk.alpha_g1},
                           {&pvk.gamma_g2, vk_x},
-                          {&pvk.delta_g2, proof.c}}) == pvk.alpha_beta.conjugate();
+                          {&pvk.delta_g2, proof.c}})
+      .is_one();
 }
 
 /// A uniform nonzero weight below 2^128.
@@ -357,18 +360,17 @@ std::vector<std::uint8_t> verify_batch(const std::vector<BatchVerifyItem>& items
         if (!b) return;
         admitted[i] = 1;
         b_prepared[i] = std::move(*b);
-        weighted_a[i] = -(items[i].proof.a * weight[i]);
+        weighted_a[i] = -glv_mul(items[i].proof.a, weight[i]);
       },
       /*min_grain=*/1);
 
   // Per key: sum r_i vk_x_i as one multi-scalar sum over ic (the weight of
-  // ic[j + 1] is sum r_i x_ij), sum r_i C_i, and e(alpha, beta)^(sum r_i),
-  // the exponent summed over the integers (e(alpha, beta) has order r).
+  // ic[j + 1] is sum r_i x_ij), sum r_i C_i, and (sum r_i) alpha.
   struct KeySums {
     std::vector<Fr> ic_weights;
     std::vector<G1> cs;
     std::vector<Fr> c_weights;
-    BigInt weight_sum = 0;
+    Fr weight_sum = Fr::zero();
   };
   std::vector<KeySums> sums(prepared.size());
   std::vector<std::pair<const G2Prepared*, G1>> prepared_pairs;
@@ -382,20 +384,19 @@ std::vector<std::uint8_t> verify_batch(const std::vector<BatchVerifyItem>& items
     }
     s.cs.push_back(items[i].proof.c);
     s.c_weights.push_back(weight[i]);
-    s.weight_sum += weight[i].to_bigint();
+    s.weight_sum += weight[i];
     prepared_pairs.emplace_back(&b_prepared[i], weighted_a[i]);
   }
   std::vector<std::uint8_t> ok(items.size(), 0);
   if (prepared_pairs.empty()) return ok;
-  Fq12 alpha_beta_power = Fq12::one();
   for (std::size_t k = 0; k < prepared.size(); ++k) {
     const KeySums& s = sums[k];
     if (s.cs.empty()) continue;
+    prepared_pairs.emplace_back(&prepared[k].beta_g2, glv_mul(prepared[k].alpha_g1, s.weight_sum));
     prepared_pairs.emplace_back(&prepared[k].gamma_g2, multiexp(prepared[k].ic, s.ic_weights));
     prepared_pairs.emplace_back(&prepared[k].delta_g2, multiexp(s.cs, s.c_weights));
-    alpha_beta_power *= prepared[k].alpha_beta.cyclotomic_pow(s.weight_sum);
   }
-  if (pairing_product(prepared_pairs) == alpha_beta_power.conjugate()) {
+  if (pairing_product(prepared_pairs).is_one()) {
     ZL_OBS_COUNTER_ADD("prover.verify_batch.pass", 1);
     return admitted;
   }

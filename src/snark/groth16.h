@@ -51,14 +51,16 @@ struct ProvingKey {
   std::size_t num_inputs = 0;
 };
 
-/// A verifying key with its pairing work hoisted out: e(alpha, beta) in GT
-/// plus the precomputed Miller schedules of gamma and delta. Every
-/// verification against the same key then runs one three-pair multi-Miller
-/// loop (proof.b is prepared per call) and one final exponentiation — no
-/// repeated G2 line computation. prepare() builds e(alpha, beta) and the two
-/// schedules concurrently on the thread pool.
+/// A verifying key with its G2 work hoisted out: the precomputed Miller
+/// schedules of beta, gamma and delta. Every verification against the same
+/// key then runs one four-pair multi-Miller loop (proof.b is prepared per
+/// call) and one final exponentiation, with e(alpha, beta) as one of the
+/// four pairs (the EIP-197 form) — no GT value is kept and no G2 line is
+/// computed twice. prepare() builds the three schedules concurrently on the
+/// thread pool.
 struct PreparedVerifyingKey {
-  Fq12 alpha_beta;  // e(alpha, beta)
+  G1 alpha_g1;
+  G2Prepared beta_g2;
   G2Prepared gamma_g2;
   G2Prepared delta_g2;
   std::vector<G1> ic;
@@ -81,7 +83,7 @@ Proof prove(const ProvingKey& pk, const ConstraintSystem& cs, const std::vector<
             Rng& rng);
 
 /// Verify a proof against the public inputs (statement) only. Prepares the
-/// key on every call, e(alpha, beta) included; use verify_batch (or keep a
+/// key's three G2 schedules on every call; use verify_batch (or keep a
 /// PreparedVerifyingKey) when verifying many proofs. Rejects a wrong input
 /// arity, points off their curves, and a B outside the order-r subgroup G2
 /// (the EIP-197 rule).
@@ -106,8 +108,8 @@ struct BatchVerifyItem {
 /// equal copies share) is prepared once. Entries that fail verify()'s
 /// admission checks (arity, curves, B in G2) are flagged 0. The rest are
 /// weighted by fresh random nonzero 128-bit r_i and checked together as
-///   prod_i e(B_i, -r_i A_i) * prod_keys e(gamma, sum r_i vk_x_i)
-///     e(delta, sum r_i C_i) == prod_keys e(alpha, beta)^-(sum r_i),
+///   prod_i e(B_i, -r_i A_i) * prod_keys e(beta, (sum r_i) alpha)
+///     e(gamma, sum r_i vk_x_i) e(delta, sum r_i C_i) == 1,
 /// one multi-Miller loop and one final exponentiation in all. If it holds,
 /// every admitted entry is flagged 1 (a bad entry slips through with
 /// probability at most 2^-128); if not, each admitted entry is re-checked

@@ -102,9 +102,9 @@ Fq12 miller_loop_textbook(const G2& q, const G1& p) {
   const Fq12 px = embed_fq(px_fq);
   const Fq12 py = embed_fq(py_fq);
 
-  const BigInt& s = bn254_ate_loop_count();
+  // f_{6x+2,Q}(P) over the plain binary digits of 6x + 2.
+  const BigInt s = 6 * bn254_x() + 2;
   const std::size_t bits = mpz_sizeinbase(s.get_mpz_t(), 2);
-
   Fq12 f = Fq12::one();
   Ext12Point t = base;
   for (std::size_t i = bits - 1; i-- > 0;) {
@@ -113,7 +113,12 @@ Fq12 miller_loop_textbook(const G2& q, const G1& p) {
       f = f * line_and_step(t, base, px, py);
     }
   }
-  return f;
+  // The lines through Q1 = pi(Q) and -Q2 = -pi^2(Q), the q-power Frobenius
+  // images of the untwisted point.
+  const Ext12Point q1 = {base.x.frobenius(), base.y.frobenius()};
+  const Ext12Point minus_q2 = {base.x.frobenius_power(2), -base.y.frobenius_power(2)};
+  f = f * line_and_step(t, q1, px, py);
+  return f * line_and_step(t, minus_q2, px, py);
 }
 
 Fq12 final_exponentiation_textbook(const Fq12& f) {

@@ -7,9 +7,11 @@
 //                        window ~ log2(n) (oracle for ec/multiexp.h).
 //   fft_textbook       — radix-2 FFT striding through one flat twiddle
 //                        table (oracle for EvaluationDomain::fft/ifft).
-//   pairing_textbook   — affine chord-tangent lines in full Fq12, one Fq12
-//                        inversion per Miller step, generic-pow hard part
-//                        (oracle for ec/pairing.h).
+//   pairing_textbook   — the optimal ate pairing over the binary digits
+//                        of 6x + 2: affine chord-tangent lines in full
+//                        Fq12, one Fq12 inversion per Miller step, the two
+//                        lines through the Fq12 Frobenius images of Q, and
+//                        a generic-pow hard part (oracle for ec/pairing.h).
 //   random_twist_point — an on-curve twist point off G2, for the subgroup
 //                        checks of G2Prepared::in_g2 and Groth16 admission.
 //

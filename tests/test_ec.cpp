@@ -339,9 +339,10 @@ void check_kernel_vs_textbook(std::uint64_t seed) {
   // Adversarial input mix: infinities, zero / one / -1 scalars, duplicated
   // points (forced bucket doublings), and random full-width scalars. The
   // kernel must match the textbook oracle point-for-point — and since
-  // serialization normalizes to affine, byte-for-byte.
+  // serialization normalizes to affine, byte-for-byte. Every count below 8
+  // takes the joint-wNAF small path; the rest take the bucket kernel.
   Rng rng(seed);
-  for (const std::size_t n : {8u, 33u, 300u}) {
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 33u, 300u}) {
     std::vector<Point> points;
     std::vector<Fr> scalars;
     for (std::size_t i = 0; i < n; ++i) {

@@ -18,13 +18,15 @@
 #             to the serial oracle and floods the sim testnet, writing
 #             BENCH_scale.json into the build tree
 #   kernels - the oracle tests pinning the fast arithmetic kernels
-#             (Montgomery squaring, GLV + batch-affine multiexp, the joint
-#             wNAF kernel and the ECDSA built on it, blocked FFT, the fast
-#             pairing) against their textbook twins in tests/, plus the
-#             seeded Groth16 key/proof byte digests: once under ASan, once
-#             in the ZL_CT_CHECK taint build (which adds the GLV / wNAF
-#             secret-scalar guard deaths, the clean blinded signing path and
-#             mont_sqr taint propagation)
+#             (Montgomery squaring, the windowed inverse, the Fq6/Fq12
+#             products, GLV + batch-affine and small-count multiexp, the
+#             joint wNAF kernel and the ECDSA built on it, blocked FFT, the
+#             optimal-ate pairing and its G2 check) against their textbook
+#             twins in tests/, the batched Groth16 verifier's exact flags,
+#             and the seeded Groth16 key/proof byte digests: once under
+#             ASan, once in the ZL_CT_CHECK taint build (which adds the
+#             GLV / wNAF secret-scalar guard deaths, the clean blinded
+#             signing path and mont_sqr taint propagation)
 #   obs     - the observability gate (DESIGN.md §14): builds a -DZL_OBS=OFF
 #             tree and the normal ON tree, runs test_obs in both (the OFF
 #             run pins the macro compile-out contract), runs test_obs under
@@ -108,8 +110,8 @@ run_store() {
 # GLV refuses secret scalars). Reuses the asan/ctcheck build trees, so a
 # later full leg picks up the already-built objects.
 run_kernels() {
-  kernel_filter='^(Fp\.MontSqr|Fp\.PortableOracles|Glv\.|Wnaf\.|Ecdsa\.|Multiexp\.|Domain\.FftKernel|Groth16\.SeededKeyAndProofBytesPinned|FastPairing\.|CtDeathTest\.|CtClean\.EcdsaGenerateSignVerify|CtCheckBuild\.)'
-  kernel_targets="zl_oracles test_field test_ec test_snark test_pairing_fast test_ct test_pkc"
+  kernel_filter='^(Fp\.MontSqr|Fp\.PortableOracles|Fp\.WindowedInverse|Fq12\.|Fq6\.|Glv\.|Wnaf\.|Ecdsa\.|Multiexp\.|Domain\.FftKernel|Groth16\.SeededKeyAndProofBytesPinned|FastPairing\.|VerifyBatch(Adversarial)?\.|CtDeathTest\.|CtClean\.EcdsaGenerateSignVerify|CtCheckBuild\.)'
+  kernel_targets="zl_oracles test_field test_ec test_snark test_pairing_fast test_parallel test_ct test_pkc"
   build_dir="$repo_root/build-asan"
   cmake -S "$repo_root" -B "$build_dir" -G Ninja -DCMAKE_BUILD_TYPE=Release -DZL_SANITIZE=address
   cmake --build "$build_dir" --target $kernel_targets
